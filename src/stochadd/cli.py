@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: digits, matrix, render, roots, verify, simulate.  Exit codes:
-0 success, 1 check failure, 2 usage or parse error.  All output is
-deterministic given flags and seed; floats print with 17 significant digits.
+Subcommands: digits, matrix, render, roots, verify, simulate, report.  Exit
+codes: 0 success, 1 check failure, 2 usage or parse error, 3 any other error
+(the traceback goes to stderr).  All output is deterministic given flags and
+seed; floats print with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys as _sys
-from dataclasses import dataclass
+import traceback
 
 import numpy as np
 
@@ -18,9 +19,9 @@ from . import julia, machine, spectrum
 from .julia import DEFAULT_DEPTH, DEFAULT_WINDOW, FiberedSystem
 from .numeration import (
     SpecError,
-    base_product,
     counter,
     from_digits,
+    largest_level,
     parse_base_spec,
     parse_probs_spec,
     successor,
@@ -64,21 +65,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run configuration; spec strings are kept in canonical form."""
-
-    base_spec: str
-    probs_spec: str
-    seed: int = 0
-    threads: int = 1
-    out: str | None = None
-
-    def system(self) -> FiberedSystem:
-        return FiberedSystem(parse_base_spec(self.base_spec),
-                             parse_probs_spec(self.probs_spec))
-
-
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -94,15 +80,10 @@ def _resolve_config(args) -> tuple[str, str]:
     return args.base, args.probs
 
 
-def _run_config(args) -> RunConfig:
-    base_spec, probs_spec = _resolve_config(args)
-    return RunConfig(base_spec, probs_spec, seed=args.seed,
-                     threads=args.threads, out=args.out)
-
-
 def _system(args) -> tuple[FiberedSystem, str, str]:
-    cfg = _run_config(args)
-    return cfg.system(), cfg.base_spec, cfg.probs_spec
+    base_spec, probs_spec = _resolve_config(args)
+    sysm = FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+    return sysm, base_spec, probs_spec
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +105,7 @@ def cmd_matrix(args) -> int:
     mat = machine.build_matrix(args.n, sysm.base, sysm.probs)
     if args.out:
         machine.write_matrix_coordinate(mat, args.out)
-    mask = mat.unclipped_mask()
-    row_dev = max((abs(row.total() - 1.0) for row in mat.rows if mask[row.source]),
-                  default=0.0)
-    col_dev = max((abs(total - 1.0) for _, total, complete in
-                   machine.column_sum_report(mat) if complete), default=0.0)
+    row_dev, col_dev = machine.stochasticity_deviation(mat)
     ok = row_dev <= 1e-12 and col_dev <= 1e-12
     print(f"states={mat.dim} clipped={len(mat.clipped_rows)}")
     print(f"row_sum_max_dev={_fmt(row_dev)}")
@@ -202,27 +179,10 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _capped_level(base, hi: int) -> int:
-    n = 2
-    for r in range(1, 64):
-        try:
-            q = base_product(base, r)
-        except OverflowError:
-            break
-        if q > hi:
-            break
-        n = q
-    return max(n, 2)
-
-
 def _suite_stochasticity(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
-    n = _capped_level(sysm.base, 2500)
+    n = largest_level(sysm.base, 2500)
     mat = machine.build_matrix(n, sysm.base, sysm.probs)
-    mask = mat.unclipped_mask()
-    row_dev = max((abs(row.total() - 1.0) for row in mat.rows if mask[row.source]),
-                  default=0.0)
-    col_dev = max((abs(total - 1.0) for _, total, complete in
-                   machine.column_sum_report(mat) if complete), default=0.0)
+    row_dev, col_dev = machine.stochasticity_deviation(mat)
     ok = row_dev <= 1e-12 and col_dev <= 1e-12
     return ok, f"n={n} row_dev={row_dev:.17g} col_dev={col_dev:.17g}"
 
@@ -236,31 +196,26 @@ def _suite_renorm(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
 
 def _suite_eigenpairs(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     ps = spectrum.point_spectrum(sysm, 2, cap=4000)
-    n = _capped_level(sysm.base, 1024)
+    n = largest_level(sysm.base, 1024)
     rep = spectrum.verify_eigenpairs(sysm, ps.all_roots(), n, tol=1e-9)
     return rep.ok, f"n={n} roots={len(ps.all_roots())} max_resid={rep.max_residual:.17g}"
 
 
+def _escape_samples(seed: int) -> np.ndarray:
+    """2000 parameters uniform on [-2, 2]^2, drawn as (re, im) pairs."""
+    return np.random.default_rng(seed).uniform(-2, 2, size=(2000, 2)).view(complex).ravel()
+
+
 def _suite_escape(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
-    mismatches = 0
-    count = 2000
-    for _ in range(count):
-        lam = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        tight = julia.orbit(sysm, lam, 200).escaped
-        v = lam
-        loose = False
-        for r in range(1, 201):
-            v = julia.stage_map(sysm, r, v)
-            if abs(v) > 1e6:
-                loose = True
-                break
-        mismatches += tight != loose
-    return mismatches == 0, f"samples={count} mismatches={mismatches}"
+    lams = _escape_samples(seed)
+    tight, _ = julia._render_band(sysm, lams, 200)
+    loose, _ = julia._render_band(sysm, lams, 200, bailout=1e6)
+    mismatches = int((tight != loose).sum())
+    return mismatches == 0, f"samples={lams.size} mismatches={mismatches}"
 
 
 def _suite_witness(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
-    n = _capped_level(sysm.base, 1024)
+    n = largest_level(sysm.base, 1024)
     mat = machine.build_matrix(n, sysm.base, sysm.probs)
     csr = mat.to_csr()
     mask = mat.unclipped_mask()
@@ -345,6 +300,33 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
+def cmd_report(args) -> int:
+    sysm, base_spec, probs_spec = _system(args)
+    rep = spectrum.classify_spectrum(sysm, args.depth, resolution=args.resolution,
+                                     seed=args.seed)
+    eig = rep.evidence["eigenpairs"]
+    lines = [
+        f"base={base_spec}",
+        f"probs={probs_spec}",
+        f"regime={rep.regime}",
+        f"claimed_spectrum={rep.claimed_spectrum}",
+        f"eigen_max_residual={_fmt(eig.max_residual)}",
+        f"eigen_states={eig.n_states}",
+        f"boundary_sup_min_dist={_fmt(rep.evidence['boundary_sup_min_dist'])}",
+        f"boundary_coverage={_fmt(rep.evidence['boundary_coverage'])}",
+    ]
+    trep = rep.evidence.get("transient_limits")
+    if trep is not None:
+        lines += [
+            f"transient_interior_max={_fmt(trep.interior_max_mod)}",
+            f"transient_boundary_min={_fmt(trep.boundary_min_mod)}",
+            f"transient_boundary_max={_fmt(trep.boundary_max_mod)}",
+        ]
+    lines.append(f"ok={str(rep.ok).lower()}")
+    print("\n".join(lines))
+    return 0 if rep.ok else 1
+
+
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
@@ -395,6 +377,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=cmd_simulate)
 
+    p = sub.add_parser("report", parents=[common],
+                       help="spectrum regime and its numerical evidence")
+    p.add_argument("--depth", type=int, default=4, help="root enumeration depth")
+    p.add_argument("--resolution", type=int, default=256,
+                   help="side of the square render grids")
+    p.set_defaults(func=cmd_report)
+
     return parser
 
 
@@ -410,6 +399,9 @@ def main(argv=None) -> int:
     except (SpecError, UsageError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -85,8 +85,12 @@ class MembershipGrid:
         return complex(re_min + (col + 0.5) * dx, im_max - (row + 0.5) * dy)
 
 
-def _pow_int(z: complex, d: int) -> complex:
-    """d-th power by binary exponentiation (same op order as the array path)."""
+def _pow_int(z, d: int):
+    """d-th power of a complex scalar or array by binary exponentiation.
+
+    Scalars and arrays share one op order, so both give the same bits; ``z``
+    is never written in place.
+    """
     result = complex(1.0)
     b = z
     e = d
@@ -99,21 +103,8 @@ def _pow_int(z: complex, d: int) -> complex:
     return result
 
 
-def _pow_int_array(z: np.ndarray, d: int) -> np.ndarray:
-    result = np.ones_like(z)
-    b = z.copy()
-    e = d
-    while e:
-        if e & 1:
-            result = result * b
-        e >>= 1
-        if e:
-            b = b * b
-    return result
-
-
-def stage_map(sys: FiberedSystem, r: int, z: complex) -> complex:
-    """f_r(z) = ((z - (1-p_r)) / p_r) ** d_r."""
+def stage_map(sys: FiberedSystem, r: int, z):
+    """f_r(z) = ((z - (1-p_r)) / p_r) ** d_r, for a complex scalar or array."""
     if r < 1:
         raise ValueError("stages are 1-based")
     return _pow_int((z - sys.center(r)) / sys.p(r), sys.d(r))
@@ -191,9 +182,7 @@ def eigvec(sys: FiberedSystem, lam: complex, n: int) -> np.ndarray:
     the digits of m.  Zero stage values contribute 1 at digit 0."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    digits = _digits_matrix(sys.base, n)
-    vals = stage_values(sys, lam, digits.shape[1]) if digits.shape[1] else []
-    return _digit_power_product(sys, vals, digits)
+    return witness(sys, lam, max(1, _digits_matrix(sys.base, n).shape[1]), n)
 
 
 def witness(sys: FiberedSystem, lam: complex, t: int, n: int) -> np.ndarray:
@@ -230,23 +219,27 @@ def factorization_check(sys: FiberedSystem, lam: complex, r: int, k: int) -> flo
     return abs(lhs - rhs)
 
 
-def _render_band(sys: FiberedSystem, lam_flat: np.ndarray, depth: int) -> tuple[np.ndarray, np.ndarray]:
+def _render_band(sys: FiberedSystem, lam_flat: np.ndarray, depth: int,
+                 bailout: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """Escape flags and stages of the orbits of ``lam_flat``, leaving at modulus
+    > ``bailout``.  Values may overflow once past the unit disk; that is ignored."""
     n = lam_flat.size
     escaped = np.zeros(n, dtype=bool)
     stage = np.full(n, depth, dtype=np.int32)
-    v = lam_flat.astype(complex)
     active = np.arange(n)
-    for r in range(1, depth + 1):
-        va = _pow_int_array((v[active] - sys.center(r)) / sys.p(r), sys.d(r))
-        v[active] = va
-        esc = np.abs(va) > 1.0
-        if esc.any():
-            hit = active[esc]
-            escaped[hit] = True
-            stage[hit] = r
-            active = active[~esc]
-            if active.size == 0:
-                break
+    v = lam_flat.astype(complex)  # orbit values of the active parameters
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, depth + 1):
+            v = stage_map(sys, r, v)
+            esc = np.abs(v) > bailout
+            if esc.any():
+                hit = active[esc]
+                escaped[hit] = True
+                stage[hit] = r
+                active = active[~esc]
+                v = v[~esc]
+                if active.size == 0:
+                    break
     return escaped, stage
 
 

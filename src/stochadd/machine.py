@@ -175,6 +175,17 @@ def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, boo
     return report
 
 
+def stochasticity_deviation(mat: SparseTransitionMatrix) -> tuple[float, float]:
+    """(max |row sum - 1| over unclipped rows, max |column sum - 1| over
+    complete columns); both are 0 for an exactly stochastic truncation."""
+    mask = mat.unclipped_mask()
+    row_dev = max((abs(row.total() - 1.0) for row in mat.rows if mask[row.source]),
+                  default=0.0)
+    col_dev = max((abs(total - 1.0) for _, total, complete in column_sum_report(mat)
+                   if complete), default=0.0)
+    return row_dev, col_dev
+
+
 def simulate(base: BaseSeq, probs: ProbSeq, start: int, steps: int, seed: int) -> Trajectory:
     """Sample a Markov path of the adding machine; reproducible per seed."""
     if start < 0 or steps < 0:
@@ -231,20 +242,6 @@ def projection_matrix(k: int, r: int, n_rows: int, n_cols: int, base: BaseSeq) -
     return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
 
 
-def _restriction_matrix(k: int, r: int, n_rows: int, n_cols: int, base: BaseSeq) -> sp.csr_matrix:
-    """Transpose pattern of projection_matrix: samples fine states k + l*d_r."""
-    d = base.at(r)
-    rows, cols = [], []
-    for l in range(n_rows):
-        m = k + l * d
-        if m >= n_cols:
-            break
-        rows.append(l)
-        cols.append(m)
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
-
-
 @dataclass(frozen=True)
 class RenormReport:
     """Interior-window discrepancies of the level-r renormalization identities."""
@@ -289,7 +286,7 @@ def renorm_check(r: int, n2: int, base: BaseSeq, probs: ProbSeq) -> RenormReport
     renorm = (s_fine - (1.0 - p_r) * np.eye(n1)) / p_r
 
     embeds = [projection_matrix(k, r, n1, n2, base).toarray() for k in range(d1)]
-    restricts = [_restriction_matrix(k, r, n2, n1, base).toarray() for k in range(d1)]
+    restricts = [e.T for e in embeds]
 
     lhs = np.linalg.matrix_power(renorm, d1)
     rhs = np.zeros_like(lhs)

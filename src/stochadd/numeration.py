@@ -214,6 +214,17 @@ def base_product(base: BaseSeq, r: int) -> int:
     return acc
 
 
+def largest_level(base: BaseSeq, cap: int) -> int:
+    """Largest cumulative base product prod_{i<=r} d_i (r >= 1) that is <= cap;
+    2 when even d_1 exceeds cap.  Truncating at such a level keeps whole blocks
+    of the first r digit positions."""
+    level, r = 1, 1
+    while level * base.at(r) <= cap:
+        level *= base.at(r)
+        r += 1
+    return max(level, 2)
+
+
 def to_digits(n: int, base: BaseSeq) -> DigitVec:
     """Canonical digit expansion of n >= 0 (greedy mixed-radix divmod)."""
     if n < 0:

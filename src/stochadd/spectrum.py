@@ -26,6 +26,7 @@ from .julia import (
     eigvec,
     orbit,
     render,
+    stage_map,
 )
 from .machine import (
     RECURRENT,
@@ -33,7 +34,7 @@ from .machine import (
     build_matrix,
     classify_chain,
 )
-from .numeration import base_product
+from .numeration import largest_level
 
 DEDUP_TOL = 1e-10
 ROOT_CAP = 200_000
@@ -80,24 +81,11 @@ def _preimage_array(sys: FiberedSystem, r: int, w: np.ndarray) -> np.ndarray:
     root = np.power(w, 1.0 / d)
     z = c + p * root[None, :] * zetas[:, None]  # (d, len(w))
     h = (z - c) / p
-    fz = _pow_int_arr(h, d)
-    fpz = d * _pow_int_arr(h, d - 1) / p
+    fz = _pow_int(h, d)
+    fpz = d * _pow_int(h, d - 1) / p
     safe = np.abs(fpz) > 1e-12
     z = np.where(safe, z - (fz - w[None, :]) / np.where(safe, fpz, 1.0), z)
     return z
-
-
-def _pow_int_arr(z: np.ndarray, d: int) -> np.ndarray:
-    result = np.ones_like(z)
-    b = z.copy()
-    e = d
-    while e:
-        if e & 1:
-            result = result * b
-        e >>= 1
-        if e:
-            b = b * b
-    return result
 
 
 def _composed_newton(sys: FiberedSystem, z: np.ndarray, depth: int, steps: int = 3) -> np.ndarray:
@@ -108,8 +96,8 @@ def _composed_newton(sys: FiberedSystem, z: np.ndarray, depth: int, steps: int =
         deriv = np.ones_like(z)
         for r in range(1, depth + 1):
             h = (v - sys.center(r)) / sys.p(r)
-            deriv = deriv * (sys.d(r) * _pow_int_arr(h, sys.d(r) - 1) / sys.p(r))
-            v = _pow_int_arr(h, sys.d(r))
+            deriv = deriv * (sys.d(r) * _pow_int(h, sys.d(r) - 1) / sys.p(r))
+            v = _pow_int(h, sys.d(r))
         resid = v - 1.0
         if np.abs(resid).max() < 1e-13:
             break
@@ -285,8 +273,7 @@ def _boundary_chain(sys: FiberedSystem, depth: int, rng) -> tuple[complex, list[
         vals[j - 1] = _random_preimage(sys, j, vals[j], rng)
     worst = 0.0
     for j in range(1, depth + 1):
-        h = (vals[j - 1] - sys.center(j)) / sys.p(j)
-        worst = max(worst, abs(_pow_int(h, sys.d(j)) - vals[j]))
+        worst = max(worst, abs(stage_map(sys, j, vals[j - 1]) - vals[j]))
     return vals[0], vals[1:], worst
 
 
@@ -351,7 +338,7 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
     for row, col in interior[pick]:
         v = complex(grid.center_at(int(row), int(col)))
         for r in range(1, r_probe + 1):
-            v = _pow_int((v - sys.center(r)) / sys.p(r), sys.d(r))
+            v = stage_map(sys, r, v)
         interior_max = max(interior_max, abs(v))
 
     boundary_mods = []
@@ -407,15 +394,7 @@ def classify_spectrum(sys: FiberedSystem, depth: int, resolution: int = 256,
     res = (resolution, resolution)
     band_grid = render(sys, DEFAULT_WINDOW, res, band_depth(res))
     ps = point_spectrum(sys, depth, cap=ROOT_CAP)
-    n = 2
-    for r in range(1, depth + 3):
-        try:
-            n = base_product(sys.base, r)
-        except OverflowError:
-            break
-        if n >= 2048:
-            break
-    n = max(2, min(n, 2048))
+    n = largest_level(sys.base, 2048)
     eig = verify_eigenpairs(sys, ps.all_roots(), n, tol=1e-8)
     sup_dist, coverage = boundary_density(band_grid, list(ps.levels))
 

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from stochadd.cli import PRESETS, main
+from stochadd import julia
+from stochadd.cli import PRESETS, _escape_samples, main
+from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
 
 
 def run(capsys, *argv):
@@ -165,6 +169,60 @@ class TestVerify:
                            "--base", "const:2", "--probs", "pconst:0.5")
         assert code == 1
         assert out.startswith("FAIL")
+
+    def test_escape_suite_quiet_under_warnings_as_errors(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "verify", "--suite", "escape")
+        assert code == 0
+        assert len(out.splitlines()) == 5
+
+    @pytest.mark.parametrize("preset", ["fig8a", "fig6a"])  # fib and even bases
+    def test_escape_suite_flags_match_scalar_loop(self, preset):
+        base_spec, probs_spec = PRESETS[preset]
+        sysm = julia.FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+        lams = _escape_samples(0)
+        loose, _ = julia._render_band(sysm, lams, 200, bailout=1e6)
+        for lam, flag in zip(lams, loose):
+            v = complex(lam)
+            escaped = False
+            for r in range(1, 201):
+                v = julia.stage_map(sysm, r, v)
+                if abs(v) > 1e6:
+                    escaped = True
+                    break
+            assert flag == escaped
+
+
+class TestReport:
+    KEYS = {"base", "probs", "regime", "claimed_spectrum", "eigen_max_residual",
+            "eigen_states", "boundary_sup_min_dist", "boundary_coverage",
+            "transient_interior_max", "transient_boundary_min",
+            "transient_boundary_max", "ok"}
+
+    def test_transient_preset(self, capsys):
+        code, out, _ = run(capsys, "report", "--preset", "fig3a", "--depth", "3",
+                           "--resolution", "128")
+        assert code == 0
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert set(fields) == self.KEYS
+        assert fields["regime"] == "transient_like"
+        assert fields["ok"] == "true"
+        base = parse_base_spec(PRESETS["fig3a"][0])
+        assert int(fields["eigen_states"]) == largest_level(base, 2048)
+
+    def test_needs_a_configuration(self, capsys):
+        code, _, err = run(capsys, "report")
+        assert code == 2
+        assert "--preset" in err
+
+
+class TestErrors:
+    def test_internal_error_exit_code(self, capsys):
+        code, _, err = run(capsys, "roots", "--base", "const:2", "--probs",
+                           "pconst:0.5", "--depth", "0")
+        assert code == 3
+        assert "Traceback" in err and "r_max must be >= 1" in err
 
 
 class TestSimulate:

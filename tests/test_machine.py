@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from stochadd.machine import (
     RECURRENT,
     TRANSIENT,
+    TransitionRow,
     apply_operator,
     build_matrix,
     classify_chain,
@@ -15,6 +17,7 @@ from stochadd.machine import (
     projection_matrix,
     renorm_check,
     simulate,
+    stochasticity_deviation,
     transition_row,
     write_matrix_coordinate,
     write_trajectory_csv,
@@ -161,6 +164,21 @@ class TestColumnSums:
     def test_deterministic_machine_column_zero_empty(self):
         mat = build_matrix(9, B3, P_ONE)
         assert column_sum_report(mat)[0][1] == 0.0
+
+    def test_stochasticity_deviation_of_truncation(self):
+        base = BaseSeq("list", (2, 3, 4), 3)
+        probs = ProbSeq("list", (0.4, 1.0, 0.8), 0.9)
+        row_dev, col_dev = stochasticity_deviation(build_matrix(100, base, probs))
+        assert row_dev <= 1e-12 and col_dev <= 1e-12
+
+    def test_stochasticity_deviation_sees_a_bad_row(self):
+        mat = build_matrix(9, B3, P_HALF)
+        (target, q), *rest = mat.rows[4].entries
+        bad = TransitionRow(4, ((target, q + 0.25), *rest))
+        row_dev, col_dev = stochasticity_deviation(
+            dataclasses.replace(mat, rows=mat.rows[:4] + (bad,) + mat.rows[5:]))
+        assert row_dev == pytest.approx(0.25)
+        assert col_dev == pytest.approx(0.25)
 
 
 class TestSimulate:

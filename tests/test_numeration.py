@@ -1,3 +1,6 @@
+import itertools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from stochadd.numeration import (
     format_base_spec,
     format_probs_spec,
     from_digits,
+    largest_level,
     parse_base_spec,
     parse_probs_spec,
     successor,
@@ -65,6 +69,30 @@ class TestBaseProduct:
         assert [even.at(r) for r in range(1, 5)] == [2, 4, 6, 8]
         fib = BaseSeq("fib")
         assert [fib.at(r) for r in range(1, 7)] == [2, 3, 5, 8, 13, 21]
+
+
+class TestLargestLevel:
+    def test_constant_base(self):
+        assert largest_level(B3, 2048) == 729
+
+    def test_cap_on_a_level(self):
+        assert largest_level(B3, 729) == 729
+        assert largest_level(B234, 24) == 24
+
+    def test_growing_bases(self):
+        assert largest_level(BaseSeq("even"), 2048) == 384
+        assert largest_level(BaseSeq("fib"), 1024) == 240
+
+    def test_floor_of_two(self):
+        assert largest_level(B3, 2) == 2
+
+    @given(base_seqs(), st.integers(2, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_largest_level_under_cap(self, base, cap):
+        # d_r >= 2, so every level past the 20th exceeds 2**20 > cap.
+        levels = itertools.accumulate((base.at(r) for r in range(1, 21)), operator.mul)
+        under = [q for q in levels if q <= cap]
+        assert largest_level(base, cap) == max(under + [2])
 
 
 class TestDigits:
