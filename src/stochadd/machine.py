@@ -14,21 +14,16 @@ truncation is exactly the corresponding row of the infinite matrix.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .numeration import (
-    BaseSeq,
-    ProbSeq,
-    base_product,
-    counter,
-    from_digits,
-    to_digits,
-    truncate_digits,
-)
+from .numeration import BaseSeq, ProbSeq, counter, from_digits, to_digits, truncate_digits
 
 RECURRENT = "null_recurrent_like"
 TRANSIENT = "transient_like"
@@ -49,31 +44,30 @@ class TransitionRow:
         return math.fsum(p for _, p in self.entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseTransitionMatrix:
-    """Rows 0..dim-1 with targets >= dim dropped; such rows are ``clipped``."""
+    """Rows 0..dim-1 as a read-only CSR matrix, targets >= dim dropped; rows
+    that lost an entry are ``clipped``."""
 
     dim: int
-    rows: tuple[TransitionRow, ...]
+    csr: sp.csr_matrix
     base: BaseSeq
     probs: ProbSeq
     clipped_rows: frozenset[int]
 
+    @functools.cached_property
+    def rows(self) -> tuple[TransitionRow, ...]:
+        """Per-row view of the CSR arrays (built on first access)."""
+        bounds = self.csr.indptr.tolist()
+        pairs = list(zip(self.csr.indices.tolist(), self.csr.data.tolist()))
+        return tuple(TransitionRow(n, tuple(pairs[lo:hi]))
+                     for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+
     def to_csr(self) -> sp.csr_matrix:
-        data, rr, cc = [], [], []
-        for row in self.rows:
-            for target, p in row.entries:
-                rr.append(row.source)
-                cc.append(target)
-                data.append(p)
-        return sp.csr_matrix((data, (rr, cc)), shape=(self.dim, self.dim))
+        return self.csr
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for row in self.rows:
-            for target, p in row.entries:
-                out[row.source, target] = p
-        return out
+        return self.csr.toarray()
 
     def unclipped_mask(self) -> np.ndarray:
         mask = np.ones(self.dim, dtype=bool)
@@ -118,18 +112,88 @@ def transition_row(n: int, base: BaseSeq, probs: ProbSeq) -> TransitionRow:
 
 
 def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransitionMatrix:
-    """Truncation to states 0..n_states-1 (targets past the edge dropped)."""
+    """Truncation to states 0..n_states-1 (targets past the edge dropped).
+
+    The CSR arrays come straight from the closed form of every row at once;
+    row for row they equal ``transition_row`` cut below ``n_states``.
+    """
     if n_states < 2:
         raise ValueError("need at least 2 states")
-    rows = []
-    clipped = set()
-    for n in range(n_states):
-        full = transition_row(n, base, probs)
-        kept = tuple((t, p) for t, p in full.entries if t < n_states)
-        if len(kept) < len(full.entries):
-            clipped.add(n)
-        rows.append(TransitionRow(n, kept))
-    return SparseTransitionMatrix(n_states, tuple(rows), base, probs, frozenset(clipped))
+    states = np.arange(n_states, dtype=np.int64)
+    s_n = _counters(states, base)
+    depth = int(s_n.max())
+    # The same floating-point products, in the same order, as transition_row.
+    prefix = [1.0]
+    for r in range(1, depth + 1):
+        prefix.append(prefix[-1] * probs.at(r))
+    halts = []  # (stage s, value drop q_s - 1, probability) with probability > 0
+    place = 1
+    for s in range(1, depth):
+        place *= base.at(s)
+        q = (1.0 - probs.at(s + 1)) * prefix[s]
+        if q > 0.0:
+            halts.append((s, place - 1, q))
+    stays = probs.at(1) < 1.0
+
+    # Row n holds its halts s < s_n deepest first, then the stay n, then n+1.
+    n_halts = np.searchsorted(np.array([s for s, _, _ in halts], dtype=np.int64), s_n)
+    counts = n_halts + stays + 1
+    indptr = np.zeros(n_states + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    first = indptr[:-1]
+    for j, (s, drop, q) in enumerate(halts):
+        rows = np.flatnonzero(s_n > s)
+        at = first[rows] + n_halts[rows] - 1 - j
+        indices[at] = rows - drop
+        data[at] = q
+    at = first + n_halts
+    if stays:
+        indices[at] = states
+        data[at] = 1.0 - probs.at(1)
+        at = at + 1
+    indices[at] = states + 1
+    data[at] = np.array(prefix)[s_n]
+
+    kept = indices < n_states
+    lost = np.bincount(np.repeat(states, counts)[~kept], minlength=n_states)
+    np.cumsum(counts - lost, out=indptr[1:])
+    csr = sp.csr_matrix((data[kept], indices[kept], indptr), shape=(n_states, n_states))
+    for arr in (csr.data, csr.indices, csr.indptr):
+        arr.setflags(write=False)
+    clipped = frozenset(np.flatnonzero(lost).tolist())
+    return SparseTransitionMatrix(n_states, csr, base, probs, clipped)
+
+
+def _counters(states: np.ndarray, base: BaseSeq) -> np.ndarray:
+    """s_n = 1 + the number of leading maximal digits, for every state."""
+    s_n = np.ones(states.shape, dtype=np.int64)
+    rem = states.copy()
+    alive = np.ones(states.shape, dtype=bool)
+    r = 1
+    while alive.any():
+        d = base.at(r)
+        alive &= rem % d == d - 1
+        s_n += alive
+        rem //= d
+        r += 1
+    return s_n
+
+
+def _lead_zero_places(states: np.ndarray, base: BaseSeq) -> np.ndarray:
+    """prod_{i<=z} d_i, z the number of leading zero digits, for states >= 1."""
+    place = np.ones(states.shape, dtype=np.int64)
+    rem = states.copy()
+    alive = states > 0
+    r = 1
+    while alive.any():
+        d = base.at(r)
+        alive &= rem % d == 0
+        place[alive] *= d
+        rem //= d
+        r += 1
+    return place
 
 
 def apply_operator(mat: SparseTransitionMatrix, v) -> tuple[np.ndarray, np.ndarray]:
@@ -152,35 +216,21 @@ def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, boo
     each s >= 1 with the first s digits of m all zero, row m + q_s - 1; column
     0 is fed by infinitely many rows and is never complete.
     """
-    sums = np.zeros(mat.dim)
-    for row in mat.rows:
-        for target, p in row.entries:
-            sums[target] += p
-    report = []
-    for m in range(mat.dim):
-        if m == 0:
-            complete = False
-        else:
-            digits = to_digits(m, mat.base).digits
-            lead_zeros = 0
-            for a in digits:
-                if a != 0:
-                    break
-                lead_zeros += 1
-            if lead_zeros == 0:
-                complete = True
-            else:
-                complete = m + base_product(mat.base, lead_zeros) - 1 < mat.dim
-        report.append((m, float(sums[m]), complete))
-    return report
+    csr = mat.to_csr()
+    # bincount adds in CSR (row-major) order, like a loop over the rows.
+    sums = np.bincount(csr.indices, weights=csr.data, minlength=mat.dim)
+    cols = np.arange(mat.dim, dtype=np.int64)
+    complete = (cols > 0) & (cols + _lead_zero_places(cols, mat.base) - 1 < mat.dim)
+    return list(zip(range(mat.dim), sums.tolist(), complete.tolist()))
 
 
 def stochasticity_deviation(mat: SparseTransitionMatrix) -> tuple[float, float]:
     """(max |row sum - 1| over unclipped rows, max |column sum - 1| over
     complete columns); both are 0 for an exactly stochastic truncation."""
-    mask = mat.unclipped_mask()
-    row_dev = max((abs(row.total() - 1.0) for row in mat.rows if mask[row.source]),
-                  default=0.0)
+    csr = mat.to_csr()
+    data, bounds = csr.data.tolist(), csr.indptr.tolist()
+    row_dev = max((abs(math.fsum(data[bounds[n]:bounds[n + 1]]) - 1.0)
+                   for n in range(mat.dim) if n not in mat.clipped_rows), default=0.0)
     col_dev = max((abs(total - 1.0) for _, total, complete in column_sum_report(mat)
                    if complete), default=0.0)
     return row_dev, col_dev
@@ -190,23 +240,22 @@ def simulate(base: BaseSeq, probs: ProbSeq, start: int, steps: int, seed: int) -
     """Sample a Markov path of the adding machine; reproducible per seed."""
     if start < 0 or steps < 0:
         raise ValueError("start and steps must be >= 0")
-    rng = np.random.default_rng(seed)
-    cache: dict[int, tuple[list[int], np.ndarray]] = {}
+    # One block of uniforms is the same PCG64 stream as one draw per step.
+    draws = np.random.default_rng(seed).random(steps).tolist()
+    cache: dict[int, tuple[list[int], list[float]]] = {}
     state = start
     states = [start]
-    for _ in range(steps):
+    for u in draws:
         hit = cache.get(state)
         if hit is None:
-            row = transition_row(state, base, probs)
-            targets = [t for t, _ in row.entries]
-            cum = np.cumsum([p for _, p in row.entries])
+            entries = transition_row(state, base, probs).entries
+            # The last target repeats: a draw at or past a rounded-down
+            # final cumulative sum lands on it.
+            targets = [t for t, _ in entries] + [entries[-1][0]]
+            cum = list(itertools.accumulate(p for _, p in entries))
             cache[state] = hit = (targets, cum)
         targets, cum = hit
-        u = rng.random()
-        idx = int(np.searchsorted(cum, u, side="right"))
-        if idx >= len(targets):
-            idx = len(targets) - 1
-        state = targets[idx]
+        state = targets[bisect.bisect_right(cum, u)]
         states.append(state)
     return Trajectory(tuple(states), seed, steps)
 
@@ -312,12 +361,11 @@ def renorm_check(r: int, n2: int, base: BaseSeq, probs: ProbSeq) -> RenormReport
 
 def write_matrix_coordinate(mat: SparseTransitionMatrix, path) -> None:
     """Coordinate text format: an ``m n nnz`` header, then ``row col value`` triples."""
-    lines = []
-    nnz = sum(len(row.entries) for row in mat.rows)
-    lines.append(f"{mat.dim} {mat.dim} {nnz}")
-    for row in mat.rows:
-        for target, p in row.entries:
-            lines.append(f"{row.source} {target} {p:.17g}")
+    csr = mat.to_csr()
+    sources = np.repeat(np.arange(mat.dim), np.diff(csr.indptr)).tolist()
+    lines = [f"{mat.dim} {mat.dim} {csr.nnz}"]
+    lines.extend(f"{n} {t} {p:.17g}" for n, t, p in
+                 zip(sources, csr.indices.tolist(), csr.data.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stochadd.machine import (
     RECURRENT,
     TRANSIENT,
-    TransitionRow,
     apply_operator,
     build_matrix,
     classify_chain,
@@ -22,7 +21,7 @@ from stochadd.machine import (
     write_matrix_coordinate,
     write_trajectory_csv,
 )
-from stochadd.numeration import BaseSeq, ProbSeq, base_product
+from stochadd.numeration import BaseSeq, ProbSeq, base_product, to_digits
 
 from test_numeration import base_seqs, prob_seqs
 
@@ -83,6 +82,19 @@ class TestTransitionRow:
                 assert abs(total - 1.0) < 1e-12
 
 
+def list_bases():
+    return st.tuples(st.lists(st.integers(2, 6), min_size=1, max_size=8),
+                     st.integers(2, 6)).map(lambda t: BaseSeq("list", tuple(t[0]), t[1]))
+
+
+def list_probs():
+    # Certain stages (p = 1), tiny ones and products that underflow to 0.0.
+    unit = st.one_of(st.sampled_from([1.0, 1e-200]), st.floats(1e-300, 1e-3),
+                     st.floats(1e-3, 1.0))
+    return st.tuples(st.lists(unit, min_size=1, max_size=8), unit).map(
+        lambda t: ProbSeq("list", tuple(t[0]), t[1]))
+
+
 class TestBuildMatrix:
     def test_deterministic_tiny(self):
         mat = build_matrix(3, B3, P_ONE)
@@ -102,6 +114,37 @@ class TestBuildMatrix:
         for row in mat.rows:
             if mask[row.source]:
                 assert abs(row.total() - 1.0) <= 1e-12
+
+    @given(list_bases(), list_probs(), st.integers(2, 500))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_scalar_rows_and_columns(self, base, probs, n):
+        """The arrays built from the closed form equal the scalar oracle."""
+        mat = build_matrix(n, base, probs)
+        lost = set()
+        sums = [0.0] * n
+        for m, row in enumerate(mat.rows):
+            full = transition_row(m, base, probs).entries
+            kept = tuple((t, p) for t, p in full if t < n)
+            assert row.source == m
+            assert row.entries == kept
+            if len(kept) < len(full):
+                lost.add(m)
+            for t, p in kept:
+                sums[t] += p
+        assert mat.clipped_rows == lost
+
+        report = column_sum_report(mat)
+        assert [m for m, _, _ in report] == list(range(n))
+        for m, total, complete in report:
+            digits = to_digits(m, base).digits
+            zeros = next((i for i, a in enumerate(digits) if a), len(digits))
+            assert total == sums[m]
+            assert complete is (m > 0 and m + base_product(base, zeros) - 1 < n)
+
+    def test_operator_arrays_are_read_only(self):
+        csr = build_matrix(9, B3, P_HALF).to_csr()
+        with pytest.raises(ValueError):
+            csr.data[0] = 0.0
 
 
 class TestApplyOperator:
@@ -173,12 +216,24 @@ class TestColumnSums:
 
     def test_stochasticity_deviation_sees_a_bad_row(self):
         mat = build_matrix(9, B3, P_HALF)
-        (target, q), *rest = mat.rows[4].entries
-        bad = TransitionRow(4, ((target, q + 0.25), *rest))
-        row_dev, col_dev = stochasticity_deviation(
-            dataclasses.replace(mat, rows=mat.rows[:4] + (bad,) + mat.rows[5:]))
+        bad = mat.to_csr().copy()
+        bad.data[bad.indptr[4]] += 0.25
+        row_dev, col_dev = stochasticity_deviation(dataclasses.replace(mat, csr=bad))
         assert row_dev == pytest.approx(0.25)
         assert col_dev == pytest.approx(0.25)
+
+
+def reference_path(base, probs, start, steps, seed):
+    """One scalar draw per step against a freshly built row."""
+    rng = np.random.default_rng(seed)
+    state, states = start, [start]
+    for _ in range(steps):
+        entries = transition_row(state, base, probs).entries
+        cum = np.cumsum([p for _, p in entries])
+        idx = int(np.searchsorted(cum, rng.random(), side="right"))
+        state = entries[min(idx, len(entries) - 1)][0]
+        states.append(state)
+    return tuple(states)
 
 
 class TestSimulate:
@@ -220,6 +275,14 @@ class TestSimulate:
             freq = np.mean(outcomes == target)
             sigma = math.sqrt(p * (1 - p) / n_vis)
             assert abs(freq - p) <= 3 * sigma + 1e-12
+
+    @pytest.mark.parametrize("probs", [P_HALF, ProbSeq("list", (0.7, 1.0, 0.4), 0.55), P_ONE])
+    @pytest.mark.parametrize("start", [0, 10**12])
+    def test_paths_match_scalar_loop(self, probs, start):
+        base = BaseSeq("list", (2, 3, 4), 3)
+        for seed in range(5):
+            assert simulate(base, probs, start, 300, seed).states == \
+                reference_path(base, probs, start, 300, seed)
 
 
 class TestClassify:
