@@ -197,8 +197,9 @@ def _suite_renorm(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
 def _suite_eigenpairs(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     ps = spectrum.point_spectrum(sysm, 2, cap=4000)
     n = largest_level(sysm.base, 1024)
-    rep = spectrum.verify_eigenpairs(sysm, ps.all_roots(), n, tol=1e-9)
-    return rep.ok, f"n={n} roots={len(ps.all_roots())} max_resid={rep.max_residual:.17g}"
+    roots = ps.all_roots()
+    rep = spectrum.verify_eigenpairs(sysm, roots, n, tol=1e-9)
+    return rep.ok, f"n={n} roots={len(roots)} max_resid={rep.max_residual:.17g}"
 
 
 def _escape_samples(seed: int) -> np.ndarray:

@@ -79,17 +79,28 @@ class MembershipGrid:
         ys = im_max - (np.arange(self.height) + 0.5) * dy
         return xs[None, :] + 1j * ys[:, None]
 
-    def center_at(self, row: int, col: int) -> complex:
+    def center_at(self, row, col):
+        """Center of pixel (row, col): a complex for ints, an array for index arrays.
+
+        The parts are stored as computed, not summed as ``re + 1j * im``, so
+        every pixel gets the same bits either way.
+        """
         re_min, re_max, im_min, im_max = self.window
         dx, dy = self.pixel_size()
-        return complex(re_min + (col + 0.5) * dx, im_max - (row + 0.5) * dy)
+        re = re_min + (col + 0.5) * dx
+        im = im_max - (row + 0.5) * dy
+        z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+        z.real = re
+        z.imag = im
+        return complex(z) if z.ndim == 0 else z
 
 
 def _pow_int(z, d: int):
     """d-th power of a complex scalar or array by binary exponentiation.
 
-    Scalars and arrays share one op order, so both give the same bits; ``z``
-    is never written in place.
+    Scalars and arrays share one op order, but not always the same bits:
+    numpy's SIMD complex multiply may fuse a multiply-add that Python's
+    scalar multiply rounds twice.  ``z`` is never written in place.
     """
     result = complex(1.0)
     b = z

@@ -107,28 +107,26 @@ def _composed_newton(sys: FiberedSystem, z: np.ndarray, depth: int, steps: int =
 
 
 def _dedup(roots: np.ndarray, tol: float) -> np.ndarray:
-    buckets: dict[tuple[int, int], list[complex]] = {}
-    kept: list[complex] = []
-    for z in roots:
-        z = complex(z)
-        kx = round(z.real / tol)
-        ky = round(z.imag / tol)
-        dup = False
-        for nx in (kx - 1, kx, kx + 1):
-            for ny in (ky - 1, ky, ky + 1):
-                for other in buckets.get((nx, ny), ()):
-                    if abs(z - other) <= tol:
-                        dup = True
-                        break
-                if dup:
-                    break
-            if dup:
-                break
-        if not dup:
-            kept.append(z)
-            buckets.setdefault((kx, ky), []).append(z)
-    kept.sort(key=lambda z: (z.real, z.imag))
-    return np.asarray(kept, dtype=complex)
+    """Roots with near-duplicates removed, sorted by (real, imag).
+
+    Greedy in input order: a root z is dropped exactly when some earlier kept
+    root a has ``abs(a - z) <= tol``, with Python's ``abs`` of a complex.
+    Candidate pairs come from a KD-tree at radius ``2 * tol``, so a pair the
+    tree's own distance rounds past ``tol`` is still found; the predicate then
+    decides.  It is evaluated as ``np.hypot``, which is the libm ``hypot``
+    behind ``abs``; ``np.abs`` of a complex array can differ in the last bit.
+    """
+    z = np.asarray(roots, dtype=complex).reshape(-1)
+    pairs = cKDTree(np.column_stack([z.real, z.imag])).query_pairs(2 * tol, output_type="ndarray")
+    diff = z[pairs[:, 0]] - z[pairs[:, 1]]
+    pairs = pairs[np.hypot(diff.real, diff.imag) <= tol]
+    keep = np.ones(z.size, dtype=bool)
+    # by (later, earlier) index, so keep[i] is final before a pair reads it
+    for i, j in pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))].tolist():
+        if keep[i]:
+            keep[j] = False
+    kept = z[keep]
+    return kept[np.lexsort((kept.imag, kept.real))]
 
 
 def point_spectrum(sys: FiberedSystem, r_max: int, cap: int = ROOT_CAP) -> PointSpectrum:
@@ -198,7 +196,7 @@ def boundary_density(grid: MembershipGrid, rootsets) -> tuple[float, float]:
     roots = np.concatenate([np.asarray(rs.roots, dtype=complex) for rs in rootsets])
     if roots.size == 0:
         raise ValueError("no roots supplied")
-    centers = np.array([grid.center_at(r, c) for r, c in pix])
+    centers = grid.center_at(pix[:, 0], pix[:, 1])
     cpts = np.column_stack([centers.real, centers.imag])
     rpts = np.column_stack([roots.real, roots.imag])
     dist_to_root, _ = cKDTree(rpts).query(cpts)
@@ -334,12 +332,10 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
         raise ValueError("grid has no deep-interior pixels")
     take = min(sample_count, interior.shape[0])
     pick = rng.choice(interior.shape[0], size=take, replace=False)
-    interior_max = 0.0
-    for row, col in interior[pick]:
-        v = complex(grid.center_at(int(row), int(col)))
-        for r in range(1, r_probe + 1):
-            v = stage_map(sys, r, v)
-        interior_max = max(interior_max, abs(v))
+    v = grid.center_at(interior[pick, 0], interior[pick, 1])
+    for r in range(1, r_probe + 1):
+        v = stage_map(sys, r, v)
+    interior_max = float(np.abs(v).max())
 
     boundary_mods = []
     samples = []

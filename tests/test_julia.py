@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochadd.cli import PRESETS
 from stochadd.julia import (
+    DEFAULT_WINDOW,
     FiberedSystem,
     band_depth,
     boundary_pixels,
@@ -20,7 +22,13 @@ from stochadd.julia import (
     write_pgm,
 )
 from stochadd.machine import build_matrix
-from stochadd.numeration import BaseSeq, ProbSeq, base_product
+from stochadd.numeration import (
+    BaseSeq,
+    ProbSeq,
+    base_product,
+    parse_base_spec,
+    parse_probs_spec,
+)
 
 SYS_HALF = FiberedSystem(BaseSeq("const", (2,)), ProbSeq("const", (0.5,)))
 SYS_DISK = FiberedSystem(BaseSeq("const", (2,)), ProbSeq("const", (1.0,)))
@@ -285,6 +293,21 @@ class TestBoundaryPixels:
         grid = render(SYS_DISK, (-0.2, 0.2, -0.2, 0.2), (16, 16), 10)
         assert not grid.escaped.any()
         assert len(boundary_pixels(grid)) == 0
+
+    @pytest.mark.parametrize("preset", ["fig3a", "fig6a"])
+    def test_center_at_arrays_match_scalar_formula(self, preset):
+        base_spec, probs_spec = PRESETS[preset]
+        sysm = FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+        grid = render(sysm, DEFAULT_WINDOW, (256, 256), band_depth((256, 256)))
+        pix = boundary_pixels(grid)
+        re_min, _, _, im_max = grid.window
+        dx, dy = grid.pixel_size()
+        want = [(re_min + (c + 0.5) * dx, im_max - (r + 0.5) * dy) for r, c in pix.tolist()]
+        got = grid.center_at(pix[:, 0], pix[:, 1])
+        assert np.column_stack([got.real, got.imag]).tobytes() == np.array(want).tobytes()
+        scalar = [grid.center_at(r, c) for r, c in pix.tolist()]
+        assert all(type(z) is complex for z in scalar)
+        assert np.array(scalar).tobytes() == got.tobytes()
 
 
 class TestImageFiles:

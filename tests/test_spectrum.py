@@ -1,13 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochadd.julia import FiberedSystem, orbit, render, stage_map
-from stochadd.numeration import BaseSeq, ProbSeq
+from stochadd.cli import PRESETS
+from stochadd.julia import DEFAULT_WINDOW, FiberedSystem, band_depth, orbit, render, stage_map
+from stochadd.numeration import BaseSeq, ProbSeq, parse_base_spec, parse_probs_spec
 from stochadd.spectrum import (
+    DEDUP_TOL,
     PointSpectrum,
     RootSet,
+    _dedup,
+    _deep_interior_mask,
     boundary_density,
     classify_spectrum,
     point_spectrum,
@@ -23,6 +29,50 @@ SYS_DISK = FiberedSystem(BaseSeq("const", (2,)), ProbSeq("const", (1.0,)))
 SYS_37 = FiberedSystem(BaseSeq("const", (3,)), ProbSeq("const", (0.7,)))
 SYS_GEO = FiberedSystem(BaseSeq("const", (2,)),
                         ProbSeq("geo", c=0.25, gamma=0.5))
+SYS_FIG3A = FiberedSystem(parse_base_spec(PRESETS["fig3a"][0]),
+                          parse_probs_spec(PRESETS["fig3a"][1]))
+
+
+def dedup_oracle(roots, tol):
+    """The definition: greedy in input order, abs(a - b) <= tol, sorted output."""
+    kept = []
+    for z in roots:
+        z = complex(z)
+        if all(abs(z - a) > tol for a in kept):
+            kept.append(z)
+    kept.sort(key=lambda z: (z.real, z.imag))
+    return np.asarray(kept, dtype=complex)
+
+
+@st.composite
+def root_clouds(draw, tol):
+    """Clusters of duplicates, ulp and tol-edge offsets, and a-b-c chains
+    whose ends lie more than tol apart, in a permuted input order."""
+    finite = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    lattice = st.builds(lambda i, j, h: complex(i, j) * h * tol,
+                        st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([0.5, 0.7]))
+    pts = []
+    for _ in range(draw(st.integers(0, 6))):
+        c = draw(st.one_of(st.builds(complex, finite, finite), lattice))
+        kind = draw(st.sampled_from(["dup", "ulp", "edge", "chain"]))
+        if kind == "dup":
+            pts += [c] * draw(st.integers(1, 4))
+        elif kind == "ulp":
+            for _ in range(draw(st.integers(1, 4))):
+                toward = draw(st.sampled_from([-np.inf, np.inf]))
+                if draw(st.booleans()):
+                    c = complex(np.nextafter(c.real, toward), c.imag)
+                else:
+                    c = complex(c.real, np.nextafter(c.imag, toward))
+                pts.append(c)
+        else:
+            u = np.exp(1j * draw(st.sampled_from([0.0, np.pi / 2, np.pi / 4]) | finite))
+            if kind == "edge":
+                pts += [c, c + tol * (1 + draw(st.sampled_from([-1e-6, 0.0, 1e-6]))) * u]
+            else:
+                step = draw(st.floats(0.55, 1.0)) * tol
+                pts += [c, c + step * u, c + 2 * step * u]
+    return draw(st.permutations(pts))
 
 
 class TestPreimage:
@@ -109,6 +159,44 @@ class TestPointSpectrum:
                             assert abs(v - 1.0) < 1e-3
 
 
+class TestDedup:
+    def test_pair_exactly_tol_apart_merges(self):
+        # a bucket grid of width tol rounds these to buckets 0 and 2
+        z = np.array([0.5e-10, 1.5e-10], dtype=complex)
+        assert abs(z[1] - z[0]) <= 1e-10
+        assert _dedup(z, 1e-10).tolist() == [0.5e-10]
+
+    def test_chain_order_decides(self):
+        a, b, c = 0.0, 0.6e-10, 1.2e-10
+        assert _dedup(np.array([a, b, c], dtype=complex), 1e-10).tolist() == [a, c]
+        assert _dedup(np.array([b, a, c], dtype=complex), 1e-10).tolist() == [b]
+
+    @given(st.sampled_from([DEDUP_TOL, 1e-3]).flatmap(
+        lambda tol: st.tuples(st.just(tol), root_clouds(tol))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_greedy_oracle(self, case):
+        tol, pts = case
+        roots = np.asarray(pts, dtype=complex).reshape(-1)
+        got = _dedup(roots, tol)
+        want = dedup_oracle(roots, tol)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_quiet_under_warnings_as_errors(self):
+        band = render(SYS_FIG3A, DEFAULT_WINDOW, (128, 128), band_depth((128, 128)))
+        deep = render(SYS_FIG3A, DEFAULT_WINDOW, (96, 96), 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ps = point_spectrum(SYS_FIG3A, 4)
+            roots = ps.all_roots()
+            boundary_density(band, list(ps.levels))
+            rep = transient_limit_check(SYS_FIG3A, deep, 8, 60)
+            assert _dedup(np.zeros(0, dtype=complex), DEDUP_TOL).shape == (0,)
+            assert _dedup(roots[:1], DEDUP_TOL).tolist() == roots[:1].tolist()
+            assert _dedup(roots[::-1], DEDUP_TOL).tobytes() == roots.tobytes()
+        assert rep.interior_ok
+
+
 class TestVerifyEigenpairs:
     def test_alternating_eigenvector(self):
         rep = verify_eigenpairs(SYS_HALF, np.array([0.0 + 0j]), 64, tol=1e-10)
@@ -157,6 +245,22 @@ class TestTransientLimits:
         assert rep.interior_max_mod < 0.1
         assert rep.boundary_min_mod >= rep.lower_bound
         assert rep.boundary_max_mod <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("r_probe", [1, 3, 6])
+    def test_interior_probe_matches_scalar_loop(self, r_probe):
+        grid = render(SYS_GEO, (-1.6, 1.6, -1.6, 1.6), (96, 96), 200)
+        rep = transient_limit_check(SYS_GEO, grid, 30, r_probe, seed=4)
+        interior = np.argwhere(_deep_interior_mask(grid))
+        pick = np.random.default_rng(4).choice(len(interior), size=30, replace=False)
+        want = 0.0
+        for row, col in interior[pick].tolist():
+            v = grid.center_at(row, col)
+            for r in range(1, r_probe + 1):
+                v = stage_map(SYS_GEO, r, v)
+            want = max(want, abs(v))
+        # numpy may fuse multiply-adds that the scalar loop rounds twice; the
+        # relative error grows by about the degree d = 2 per stage
+        assert rep.interior_max_mod == pytest.approx(want, rel=8 * 2.0**-52 * 2**r_probe)
 
     def test_interior_power_collapse(self):
         v = 0.5 + 0j
