@@ -72,13 +72,6 @@ class MembershipGrid:
         dx, dy = self.pixel_size()
         return math.hypot(dx, dy)
 
-    def pixel_centers(self) -> np.ndarray:
-        re_min, re_max, im_min, im_max = self.window
-        dx, dy = self.pixel_size()
-        xs = re_min + (np.arange(self.width) + 0.5) * dx
-        ys = im_max - (np.arange(self.height) + 0.5) * dy
-        return xs[None, :] + 1j * ys[:, None]
-
     def center_at(self, row, col):
         """Center of pixel (row, col): a complex for ints, an array for index arrays.
 
@@ -138,14 +131,6 @@ def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False
         if abs(v) > 1.0:
             return OrbitResult(True, r, v, tuple(trace) if trace is not None else None)
     return OrbitResult(False, r_max, v, tuple(trace) if trace is not None else None)
-
-
-def stage_value(sys: FiberedSystem, lam: complex, r: int) -> complex:
-    """Normalized stage value: the composed orbit through stage r-1, then the
-    affine part of stage r.  Its d_r-th power is the stage-r composed value."""
-    if r < 1:
-        raise ValueError("stages are 1-based")
-    return stage_values(sys, lam, r)[-1]
 
 
 def stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex]:
@@ -256,7 +241,12 @@ def _render_band(sys: FiberedSystem, lam_flat: np.ndarray, depth: int,
 
 def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
            threads: int = 1) -> MembershipGrid:
-    """Escape-time grid over pixel centers; deterministic for any thread count."""
+    """Escape-time grid over pixel centers.
+
+    The rows are split into ``threads`` bands (one when ``threads < 1``), each
+    run through the escape kernel on its own thread; the grid is the same for
+    any thread count.
+    """
     re_min, re_max, im_min, im_max = (float(x) for x in window)
     width, height = (int(x) for x in resolution)
     if width < 1 or height < 1:
@@ -272,21 +262,15 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     ys = im_max - (np.arange(height) + 0.5) * dy
     lam = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
 
-    if threads > 1 and height > 1:
-        bands = np.array_split(np.arange(height), min(threads, height))
-        escaped = np.zeros(height * width, dtype=bool)
-        stage = np.full(height * width, depth, dtype=np.int32)
-        with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-            futures = []
-            for band in bands:
-                lo, hi = band[0] * width, (band[-1] + 1) * width
-                futures.append((lo, hi, pool.submit(_render_band, sys, lam[lo:hi], depth)))
-            for lo, hi, fut in futures:
-                e, s = fut.result()
-                escaped[lo:hi] = e
-                stage[lo:hi] = s
-    else:
-        escaped, stage = _render_band(sys, lam, depth)
+    # Whole rows per band, at least one band; the bands are contiguous and in
+    # order, so their concatenation is the grid.
+    bands = np.array_split(np.arange(height), max(1, min(threads, height)))
+    with ThreadPoolExecutor(max_workers=len(bands)) as pool:
+        parts = list(pool.map(
+            lambda rows: _render_band(sys, lam[rows[0] * width:(rows[-1] + 1) * width], depth),
+            bands))
+    escaped = np.concatenate([e for e, _ in parts])
+    stage = np.concatenate([s for _, s in parts])
 
     return MembershipGrid((re_min, re_max, im_min, im_max), width, height, depth,
                           escaped.reshape(height, width), stage.reshape(height, width))

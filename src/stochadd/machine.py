@@ -23,14 +23,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .numeration import BaseSeq, ProbSeq, counter, from_digits, to_digits, truncate_digits
+from .numeration import (
+    INT64_MAX,
+    BaseSeq,
+    ProbSeq,
+    counter,
+    from_digits,
+    to_digits,
+    truncate_digits,
+)
 
 RECURRENT = "null_recurrent_like"
 TRANSIENT = "transient_like"
-
-# Infinite products below this are treated as vanishing (guards explicit
-# numerical prefixes; closed-form tails are decided analytically).
-PRODUCT_THRESHOLD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -111,29 +115,42 @@ def transition_row(n: int, base: BaseSeq, probs: ProbSeq) -> TransitionRow:
     return TransitionRow(n, tuple(entries))
 
 
-def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransitionMatrix:
-    """Truncation to states 0..n_states-1 (targets past the edge dropped).
+def _row_table(base: BaseSeq, probs: ProbSeq,
+               depth: int) -> tuple[list[float], list[tuple[int, int, float]], float]:
+    """The closed form of every row with counter s_n <= ``depth``.
 
-    The CSR arrays come straight from the closed form of every row at once;
-    row for row they equal ``transition_row`` cut below ``n_states``.
+    Returns ``prefix`` (prefix[s] = prod_{r<=s} p_r, the probability of n+1
+    from a row with counter s), the halts ``(s, drop, q)`` with q > 0 in
+    ascending s (a row with counter s_n halts at each s < s_n, landing on
+    n - drop with drop = prod_{i<=s} d_i - 1), and the stay probability
+    1 - p_1 (0.0 when p_1 = 1).  The products run in the same order as in
+    ``transition_row``, so every probability has the same bits.
     """
-    if n_states < 2:
-        raise ValueError("need at least 2 states")
-    states = np.arange(n_states, dtype=np.int64)
-    s_n = _counters(states, base)
-    depth = int(s_n.max())
-    # The same floating-point products, in the same order, as transition_row.
     prefix = [1.0]
     for r in range(1, depth + 1):
         prefix.append(prefix[-1] * probs.at(r))
-    halts = []  # (stage s, value drop q_s - 1, probability) with probability > 0
+    halts = []
     place = 1
     for s in range(1, depth):
         place *= base.at(s)
         q = (1.0 - probs.at(s + 1)) * prefix[s]
         if q > 0.0:
             halts.append((s, place - 1, q))
-    stays = probs.at(1) < 1.0
+    return prefix, halts, 1.0 - probs.at(1)
+
+
+def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransitionMatrix:
+    """Truncation to states 0..n_states-1 (targets past the edge dropped).
+
+    The CSR arrays come straight from the row table of every counter at once;
+    row for row they equal ``transition_row`` cut below ``n_states``.
+    """
+    if n_states < 2:
+        raise ValueError("need at least 2 states")
+    states = np.arange(n_states, dtype=np.int64)
+    s_n = 1 + _leading_run(states, base, maximal=True)[0]
+    prefix, halts, stay = _row_table(base, probs, int(s_n.max()))
+    stays = stay > 0.0
 
     # Row n holds its halts s < s_n deepest first, then the stay n, then n+1.
     n_halts = np.searchsorted(np.array([s for s, _, _ in halts], dtype=np.int64), s_n)
@@ -151,7 +168,7 @@ def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransiti
     at = first + n_halts
     if stays:
         indices[at] = states
-        data[at] = 1.0 - probs.at(1)
+        data[at] = stay
         at = at + 1
     indices[at] = states + 1
     data[at] = np.array(prefix)[s_n]
@@ -166,46 +183,22 @@ def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransiti
     return SparseTransitionMatrix(n_states, csr, base, probs, clipped)
 
 
-def _counters(states: np.ndarray, base: BaseSeq) -> np.ndarray:
-    """s_n = 1 + the number of leading maximal digits, for every state."""
-    s_n = np.ones(states.shape, dtype=np.int64)
-    rem = states.copy()
-    alive = np.ones(states.shape, dtype=bool)
-    r = 1
-    while alive.any():
-        d = base.at(r)
-        alive &= rem % d == d - 1
-        s_n += alive
-        rem //= d
-        r += 1
-    return s_n
-
-
-def _lead_zero_places(states: np.ndarray, base: BaseSeq) -> np.ndarray:
-    """prod_{i<=z} d_i, z the number of leading zero digits, for states >= 1."""
+def _leading_run(states: np.ndarray, base: BaseSeq, maximal: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Length z of the leading run of maximal (or of zero) digits of every
+    state, and its place value prod_{i<=z} d_i; state 0 has an empty run."""
+    length = np.zeros(states.shape, dtype=np.int64)
     place = np.ones(states.shape, dtype=np.int64)
     rem = states.copy()
     alive = states > 0
     r = 1
     while alive.any():
         d = base.at(r)
-        alive &= rem % d == 0
+        alive &= rem % d == (d - 1 if maximal else 0)
+        length += alive
         place[alive] *= d
         rem //= d
         r += 1
-    return place
-
-
-def apply_operator(mat: SparseTransitionMatrix, v) -> tuple[np.ndarray, np.ndarray]:
-    """Image of v under the truncated operator; returns (values, valid_mask).
-
-    Clipped rows are computed from the kept entries but flagged invalid: they
-    are missing out-of-truncation contributions.
-    """
-    vec = np.asarray(v, dtype=complex)
-    if vec.shape != (mat.dim,):
-        raise ValueError(f"vector of length {mat.dim} expected, got shape {vec.shape}")
-    return mat.to_csr() @ vec, mat.unclipped_mask()
+    return length, place
 
 
 def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, bool]]:
@@ -220,7 +213,8 @@ def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, boo
     # bincount adds in CSR (row-major) order, like a loop over the rows.
     sums = np.bincount(csr.indices, weights=csr.data, minlength=mat.dim)
     cols = np.arange(mat.dim, dtype=np.int64)
-    complete = (cols > 0) & (cols + _lead_zero_places(cols, mat.base) - 1 < mat.dim)
+    zero_place = _leading_run(cols, mat.base, maximal=False)[1]
+    complete = (cols > 0) & (cols + zero_place - 1 < mat.dim)
     return list(zip(range(mat.dim), sums.tolist(), complete.tolist()))
 
 
@@ -237,38 +231,60 @@ def stochasticity_deviation(mat: SparseTransitionMatrix) -> tuple[float, float]:
 
 
 def simulate(base: BaseSeq, probs: ProbSeq, start: int, steps: int, seed: int) -> Trajectory:
-    """Sample a Markov path of the adding machine; reproducible per seed."""
+    """Sample a Markov path of the adding machine; reproducible per seed.
+
+    A row depends on its state n only through the counter s_n, so the path
+    reads one (offsets, cumulative sums) pair per counter from the row table
+    and moves n by the offset that the draw picks.
+    """
     if start < 0 or steps < 0:
         raise ValueError("start and steps must be >= 0")
     # One block of uniforms is the same PCG64 stream as one draw per step.
     draws = np.random.default_rng(seed).random(steps).tolist()
-    cache: dict[int, tuple[list[int], list[float]]] = {}
+    table: dict[int, tuple[list[int], list[float]]] = {}
     state = start
     states = [start]
     for u in draws:
-        hit = cache.get(state)
+        if state > INT64_MAX:
+            raise OverflowError("n exceeds int64")
+        s, rem = 1, state
+        while True:
+            rem, a = divmod(rem, d := base.at(s))
+            if a != d - 1:
+                break
+            s += 1
+        hit = table.get(s)
         if hit is None:
-            entries = transition_row(state, base, probs).entries
-            # The last target repeats: a draw at or past a rounded-down
-            # final cumulative sum lands on it.
-            targets = [t for t, _ in entries] + [entries[-1][0]]
-            cum = list(itertools.accumulate(p for _, p in entries))
-            cache[state] = hit = (targets, cum)
-        targets, cum = hit
-        state = targets[bisect.bisect_right(cum, u)]
+            prefix, halts, stay = _row_table(base, probs, s)
+            moves = [(-drop, q) for _, drop, q in reversed(halts)]
+            if stay > 0.0:
+                moves.append((0, stay))
+            moves.append((1, prefix[s]))
+            # The last offset repeats: a draw at or past a rounded-down final
+            # cumulative sum lands on it.
+            offsets = [o for o, _ in moves] + [1]
+            table[s] = hit = (offsets, list(itertools.accumulate(q for _, q in moves)))
+        offsets, cum = hit
+        state += offsets[bisect.bisect_right(cum, u)]
         states.append(state)
     return Trajectory(tuple(states), seed, steps)
 
 
-def classify_chain(probs: ProbSeq, depth: int) -> str:
-    """``null_recurrent_like`` when the probability product vanishes, else
-    ``transient_like``.  Closed-form tails are decided analytically; the
-    threshold only guards explicit numerical prefixes."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    if probs.prefix_product(depth) < PRODUCT_THRESHOLD:
-        return RECURRENT
-    return RECURRENT if probs.infinite_product() < PRODUCT_THRESHOLD else TRANSIENT
+def classify_chain(probs: ProbSeq) -> str:
+    """``null_recurrent_like`` when the probability product prod_r p_r
+    vanishes, else ``transient_like``; decided from the kind of the sequence.
+
+    The product is 0 exactly when a probability below 1 repeats forever (a
+    ``const`` below 1, or a ``list`` tail below 1).  It is positive for a
+    ``list`` with tail 1, even when its double-precision value underflows,
+    and for ``geo``, whose every p_r is positive and whose 1 - p_r decay
+    geometrically.
+    """
+    if probs.kind == "const":
+        return RECURRENT if probs.values[0] < 1.0 else TRANSIENT
+    if probs.kind == "list":
+        return RECURRENT if probs.tail < 1.0 else TRANSIENT
+    return TRANSIENT
 
 
 def projection_matrix(k: int, r: int, n_rows: int, n_cols: int, base: BaseSeq) -> sp.csr_matrix:

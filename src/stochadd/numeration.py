@@ -369,35 +369,3 @@ def parse_probs_spec(text: str) -> ProbSeq:
         gamma = _split_floats(params["gamma"], "pgeo gamma")[0]
         return ProbSeq("geo", c=c, gamma=gamma)
     raise SpecError(f"unknown probability spec {text!r}")
-
-
-def format_base_spec(base: BaseSeq) -> str:
-    """Canonical spec string; round-trips with parse_base_spec."""
-    if base.start != 1:
-        raise ValueError("shifted sequences have no spec-string form")
-    if base.kind == "even":
-        return "even"
-    if base.kind == "fib":
-        return "fib"
-    if base.kind == "const":
-        return f"const:{base.values[0]}"
-    if base.kind == "periodic":
-        return "periodic:" + ",".join(str(d) for d in base.values)
-    return "list:" + ",".join(str(d) for d in base.values) + f";tail={base.tail}"
-
-
-def format_probs_spec(probs: ProbSeq) -> str:
-    """Canonical spec string; round-trips with parse_probs_spec."""
-    if probs.start != 1:
-        raise ValueError("shifted sequences have no spec-string form")
-    if probs.kind == "const":
-        return f"pconst:{_fmt(probs.values[0])}"
-    if probs.kind == "list":
-        return ("plist:" + ",".join(_fmt(p) for p in probs.values)
-                + f";tail={_fmt(probs.tail)}")
-    return f"pgeo:c={_fmt(probs.c)},gamma={_fmt(probs.gamma)}"
-
-
-def _fmt(x: float) -> str:
-    s = repr(float(x))
-    return s[:-2] if s.endswith(".0") else s

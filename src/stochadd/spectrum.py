@@ -21,10 +21,10 @@ from .julia import (
     FiberedSystem,
     MembershipGrid,
     _pow_int,
+    _render_band,
     band_depth,
     boundary_pixels,
     eigvec,
-    orbit,
     render,
     stage_map,
 )
@@ -62,18 +62,13 @@ class PointSpectrum:
         return _dedup(np.concatenate([ls.roots for ls in self.levels]), DEDUP_TOL)
 
 
-def preimage_stage(sys: FiberedSystem, r: int, w: complex) -> np.ndarray:
-    """The d_r solutions of f_r(z) = w (with multiplicity at the critical value).
+def _preimage_array(sys: FiberedSystem, r: int, w: np.ndarray) -> np.ndarray:
+    """The d_r solutions of f_r(z) = w for every w, as a (d_r, len(w)) array
+    (with multiplicity at the critical value).
 
     Uses the principal d-th root (argument in (-pi/d, pi/d]) times all d-th
     roots of unity, then one Newton polish step on f_r.
     """
-    if r < 1:
-        raise ValueError("stages are 1-based")
-    return _preimage_array(sys, r, np.asarray([w], dtype=complex)).reshape(-1)
-
-
-def _preimage_array(sys: FiberedSystem, r: int, w: np.ndarray) -> np.ndarray:
     d = sys.d(r)
     p = sys.p(r)
     c = sys.center(r)
@@ -279,23 +274,26 @@ def sample_bounded(sys: FiberedSystem, count: int, depth: int = 200, seed: int =
                    window=DEFAULT_WINDOW, rejection_budget: int | None = None) -> list[complex]:
     """Random parameters certified bounded through ``depth``.
 
-    Uniform rejection draws from the window are kept when the forward orbit
-    stays bounded.  When the bounded set has (numerically) empty interior,
-    rejection never hits, so the remainder is filled with random inverse-orbit
-    points whose backward chains certify modulus <= 1 at every probed stage.
+    ``rejection_budget`` uniform draws from the window (40 * count by default)
+    go through the escape kernel as one block, and the first ``count`` whose
+    orbits stay bounded are kept in draw order.  When the bounded set has
+    (numerically) empty interior, rejection never hits, so the remainder is
+    filled with random inverse-orbit points whose backward chains certify
+    modulus <= 1 at every probed stage.  A fill that stops at ``count`` draws
+    no chain, and one that falls short used the whole budget, so this is the
+    PCG64 stream of one draw pair at a time.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     rng = np.random.default_rng(seed)
     budget = rejection_budget if rejection_budget is not None else 40 * count
     re_min, re_max, im_min, im_max = window
-    out: list[complex] = []
-    for _ in range(budget):
-        if len(out) >= count:
-            break
-        lam = complex(rng.uniform(re_min, re_max), rng.uniform(im_min, im_max))
-        if not orbit(sys, lam, depth).escaped:
-            out.append(lam)
+    # Rows of (re, im) pairs read as complex values: the parts stay as drawn.
+    lam = rng.uniform((re_min, im_min), (re_max, im_max), size=(budget, 2)).view(complex)[:, 0]
+    escaped, _ = _render_band(sys, lam, depth)
+    out = lam[~escaped][:count].tolist()
     chain_depth = depth
     for j in range(1, depth + 1):
         if sys.d(j) > CHAIN_DEGREE_LIMIT:
@@ -384,7 +382,7 @@ def classify_spectrum(sys: FiberedSystem, depth: int, resolution: int = 256,
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    regime = classify_chain(sys.probs, depth)
+    regime = classify_chain(sys.probs)
     claimed = "E" if regime == RECURRENT else "boundary_of_E"
 
     res = (resolution, resolution)

@@ -166,7 +166,7 @@ def test_criterion_05_unit_disk_case():
     with criterion(5, "certain machine: disk membership and circle roots"):
         sysm = _system("const:2", "pconst:1")
         grid = render(sysm, (-1.5, 1.5, -1.5, 1.5), (512, 512), 200)
-        centers = grid.pixel_centers()
+        centers = grid.center_at(*np.indices(grid.escaped.shape))
         inside = np.abs(centers) <= 1.0
         mismatch = inside != ~grid.escaped
         band = np.abs(np.abs(centers) - 1.0) <= grid.pixel_diag()
@@ -184,7 +184,7 @@ def test_criterion_06_binary_cross_check():
         # independent oracle: conjugate u = (z - (1-p)) / p^2 turns every stage
         # into u -> u^2 + c with c = -(1-p)/p^2; classical escape radius 2
         c = -(1 - p) / p**2
-        u = (grid.pixel_centers() - (1 - p)) / p**2
+        u = (grid.center_at(*np.indices(grid.escaped.shape)) - (1 - p)) / p**2
         member = np.ones(u.shape, dtype=bool)
         active = member.copy()
         for _ in range(200):

@@ -14,7 +14,6 @@ from stochadd.julia import (
     orbit,
     render,
     stage_map,
-    stage_value,
     stage_values,
     witness,
     write_metadata,
@@ -89,11 +88,11 @@ class TestOrbit:
 
 class TestStageValues:
     def test_binary_recurrence_start(self):
-        assert stage_value(SYS_HALF, 0.0, 1) == -1.0
-        assert stage_value(SYS_HALF, 0.0, 2) == 1.0
+        assert stage_values(SYS_HALF, 0.0, 1)[-1] == -1.0
+        assert stage_values(SYS_HALF, 0.0, 2)[-1] == 1.0
 
     def test_one_everywhere(self):
-        assert stage_value(SYS_37, 1.0, 7) == 1.0
+        assert stage_values(SYS_37, 1.0, 7)[-1] == 1.0
 
     @given(unit_box)
     @settings(max_examples=100)
@@ -209,7 +208,7 @@ class TestFactorization:
 class TestRender:
     def test_unit_disk_membership(self):
         grid = render(SYS_DISK, (-1.5, 1.5, -1.5, 1.5), (128, 128), 60)
-        centers = grid.pixel_centers()
+        centers = grid.center_at(*np.indices(grid.escaped.shape))
         inside = np.abs(centers) <= 1.0
         mismatch = inside != ~grid.escaped
         band = np.abs(np.abs(centers) - 1.0) <= grid.pixel_diag()
@@ -235,13 +234,15 @@ class TestRender:
         a = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (96, 64), 60, threads=1)
         b = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (96, 64), 60, threads=4)
         assert (a.escaped == b.escaped).all() and (a.stage == b.stage).all()
+        c = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (96, 64), 60, threads=0)
+        assert (a.escaped == c.escaped).all() and (a.stage == c.stage).all()
 
     def test_conjugacy_with_classical_quadratic(self):
         # every stage is the same quadratic; conjugating by
         # u = (z - 1/2) / (1/4) turns it into u -> u^2 - 2 (escape radius 2)
         grid = render(SYS_HALF, (-1.2, 1.8, -1.2, 1.2), (160, 128), 200)
         c = -0.5 / 0.25
-        u = (grid.pixel_centers() - 0.5) / 0.25
+        u = (grid.center_at(*np.indices(grid.escaped.shape)) - 0.5) / 0.25
         member = np.ones(u.shape, dtype=bool)
         active = member.copy()
         for _ in range(200):
@@ -261,7 +262,7 @@ class TestRender:
 
     def test_containment_in_stage_one_disk(self):
         grid = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (128, 128), 100)
-        centers = grid.pixel_centers()
+        centers = grid.center_at(*np.indices(grid.escaped.shape))
         bounded = ~grid.escaped
         dist = np.abs(centers - (1 - 0.7))
         assert (dist[bounded] <= 0.7 + grid.pixel_diag()).all()

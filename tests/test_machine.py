@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stochadd.machine import (
     RECURRENT,
     TRANSIENT,
-    apply_operator,
     build_matrix,
     classify_chain,
     column_sum_report,
@@ -21,7 +20,7 @@ from stochadd.machine import (
     write_matrix_coordinate,
     write_trajectory_csv,
 )
-from stochadd.numeration import BaseSeq, ProbSeq, base_product, to_digits
+from stochadd.numeration import INT64_MAX, BaseSeq, ProbSeq, base_product, to_digits
 
 from test_numeration import base_seqs, prob_seqs
 
@@ -148,21 +147,24 @@ class TestBuildMatrix:
 
 
 class TestApplyOperator:
+    """The operator is applied as ``csr @ v``; rows flagged by
+    ``unclipped_mask`` are exact rows of the infinite matrix."""
+
     def test_ones_fixed_on_unclipped(self):
         mat = build_matrix(27, B3, P_HALF)
-        out, valid = apply_operator(mat, np.ones(27))
+        out, valid = mat.to_csr() @ np.ones(27), mat.unclipped_mask()
         assert np.allclose(out[valid], 1.0, atol=1e-12)
 
     def test_hand_evaluated_two_state(self):
         mat = build_matrix(2, B2, P_HALF)
-        out, valid = apply_operator(mat, np.array([1.0, -1.0]))
+        out, valid = mat.to_csr() @ np.array([1.0, -1.0]), mat.unclipped_mask()
         assert abs(out[0]) < 1e-15
         assert valid[0] and not valid[1]
 
     def test_dimension_mismatch(self):
         mat = build_matrix(4, B2, P_HALF)
         with pytest.raises(ValueError):
-            apply_operator(mat, np.ones(5))
+            mat.to_csr() @ np.ones(5)
 
     def test_enumerated_eigenvector_is_fixed_direction(self):
         # preimages of 1 give eigenvalues; the candidate eigenvector must be
@@ -174,7 +176,7 @@ class TestApplyOperator:
         for level in point_spectrum(sysm, 3).levels:
             for lam in level.roots:
                 v = eigvec(sysm, complex(lam), 256)
-                out, valid = apply_operator(mat, v)
+                out, valid = mat.to_csr() @ v, mat.unclipped_mask()
                 assert np.abs((out - lam * v)[valid]).max() < 1e-9
 
 
@@ -236,6 +238,16 @@ def reference_path(base, probs, start, steps, seed):
     return tuple(states)
 
 
+class TopDraws:
+    """Stands in for ``default_rng``: every draw is the largest double below 1."""
+
+    def __init__(self, seed):
+        self.top = np.nextafter(1.0, 0.0)
+
+    def random(self, size=None):
+        return self.top if size is None else np.full(size, self.top)
+
+
 class TestSimulate:
     def test_certain_machine_counts_up(self):
         traj = simulate(B3, P_ONE, 0, 5, seed=0)
@@ -276,24 +288,50 @@ class TestSimulate:
             sigma = math.sqrt(p * (1 - p) / n_vis)
             assert abs(freq - p) <= 3 * sigma + 1e-12
 
-    @pytest.mark.parametrize("probs", [P_HALF, ProbSeq("list", (0.7, 1.0, 0.4), 0.55), P_ONE])
-    @pytest.mark.parametrize("start", [0, 10**12])
-    def test_paths_match_scalar_loop(self, probs, start):
-        base = BaseSeq("list", (2, 3, 4), 3)
-        for seed in range(5):
-            assert simulate(base, probs, start, 300, seed).states == \
-                reference_path(base, probs, start, 300, seed)
+    @pytest.mark.parametrize("probs", [P_HALF, ProbSeq("list", (0.7, 1.0, 0.4), 0.55), P_ONE,
+                                       ProbSeq("list", (0.6, 1e-200, 1.0, 1e-200), 0.8),
+                                       ProbSeq("const", (0.3,))])
+    @pytest.mark.parametrize("start", [0, 10**12, 3**20 - 5])
+    def test_paths_match_scalar_loop(self, probs, start, monkeypatch):
+        # 3**20 - 5 reaches twenty maximal base-3 digits within four steps,
+        # where a halt at stage 20 drops the state to 0; the fourth list makes
+        # halts with q = 0 (p_3 = 1) and a prefix product that underflows.
+        bases = (BaseSeq("list", (2, 3, 4), 3), B3, BaseSeq("fib"))
+        for base in bases:
+            for seed in range(5):
+                assert simulate(base, probs, start, 300, seed).states == \
+                    reference_path(base, probs, start, 300, seed)
+        # The largest draw lies past the rounded-down cumulative sum of some
+        # rows (rows 2, 5, 11, ... of const:3 with p = 0.3) and must still
+        # land on the last target.
+        monkeypatch.setattr(np.random, "default_rng", TopDraws)
+        for base in bases:
+            assert simulate(base, probs, start, 30, 0).states == \
+                reference_path(base, probs, start, 30, 0)
+
+    def test_path_past_int64_raises(self):
+        # A step from a state past int64 fails as to_digits does; reaching
+        # that state on the last step does not.
+        assert simulate(B3, P_ONE, INT64_MAX - 1, 2, seed=0).states[-1] == INT64_MAX + 1
+        with pytest.raises(OverflowError):
+            simulate(B3, P_ONE, INT64_MAX - 1, 3, seed=0)
 
 
 class TestClassify:
     def test_paper_regimes(self):
-        assert classify_chain(ProbSeq("const", (0.7,)), 5) == RECURRENT
-        assert classify_chain(P_ONE, 5) == TRANSIENT
-        assert classify_chain(ProbSeq("geo", c=0.25, gamma=0.5), 5) == TRANSIENT
+        assert classify_chain(ProbSeq("const", (0.7,))) == RECURRENT
+        assert classify_chain(P_ONE) == TRANSIENT
+        assert classify_chain(ProbSeq("geo", c=0.25, gamma=0.5)) == TRANSIENT
 
     def test_prefix_guard(self):
+        # A finite prefix followed by tail 1 has a positive product, however
+        # small its double-precision value (1e-15, 1e-10, or 0.0 here).
         tiny = ProbSeq("list", (1e-5, 1e-5, 1e-5), 1.0)
-        assert classify_chain(tiny, 3) == RECURRENT
+        assert classify_chain(tiny) == TRANSIENT
+        assert classify_chain(ProbSeq("list", (0.01,) * 5, 1.0)) == TRANSIENT
+        underflow = ProbSeq("list", (1e-200, 1e-200), 1.0)
+        assert underflow.infinite_product() == 0.0
+        assert classify_chain(underflow) == TRANSIENT
 
 
 class TestProjection:

@@ -12,8 +12,6 @@ from stochadd.numeration import (
     SpecError,
     base_product,
     counter,
-    format_base_spec,
-    format_probs_spec,
     from_digits,
     largest_level,
     parse_base_spec,
@@ -239,20 +237,26 @@ class TestSequences:
 
 
 class TestGrammar:
-    CASES = [
-        "const:3", "periodic:3,5", "list:2,3,4;tail=4", "even", "fib",
-    ]
-    PCASES = [
-        "pconst:0.7", "plist:0.7,1,0.5;tail=0.55", "pgeo:c=0.25,gamma=0.5",
-    ]
+    CASES = {
+        "const:3": BaseSeq("const", (3,)),
+        "periodic:3,5": BaseSeq("periodic", (3, 5)),
+        "list:2,3,4;tail=4": BaseSeq("list", (2, 3, 4), 4),
+        "even": BaseSeq("even"),
+        "fib": BaseSeq("fib"),
+    }
+    PCASES = {
+        "pconst:0.7": ProbSeq("const", (0.7,)),
+        "plist:0.7,1,0.5;tail=0.55": ProbSeq("list", (0.7, 1.0, 0.5), 0.55),
+        "pgeo:c=0.25,gamma=0.5": ProbSeq("geo", c=0.25, gamma=0.5),
+    }
 
     @pytest.mark.parametrize("text", CASES)
-    def test_base_round_trip(self, text):
-        assert format_base_spec(parse_base_spec(text)) == text
+    def test_base_parses(self, text):
+        assert parse_base_spec(text) == self.CASES[text]
 
     @pytest.mark.parametrize("text", PCASES)
-    def test_probs_round_trip(self, text):
-        assert format_probs_spec(parse_probs_spec(text)) == text
+    def test_probs_parses(self, text):
+        assert parse_probs_spec(text) == self.PCASES[text]
 
     def test_parse_errors(self):
         for bad in ("triangular:3", "const:x", "list:2,3", "const"):
@@ -261,7 +265,3 @@ class TestGrammar:
         for bad in ("pconst:2", "plist:0.5", "pgeo:c=0.25", "0.7"):
             with pytest.raises(SpecError):
                 parse_probs_spec(bad)
-
-    def test_shifted_has_no_spec_string(self):
-        with pytest.raises(ValueError):
-            format_base_spec(BaseSeq("even").shift(1))

@@ -9,15 +9,17 @@ from stochadd.cli import PRESETS
 from stochadd.julia import DEFAULT_WINDOW, FiberedSystem, band_depth, orbit, render, stage_map
 from stochadd.numeration import BaseSeq, ProbSeq, parse_base_spec, parse_probs_spec
 from stochadd.spectrum import (
+    CHAIN_DEGREE_LIMIT,
     DEDUP_TOL,
     PointSpectrum,
     RootSet,
+    _boundary_chain,
     _dedup,
     _deep_interior_mask,
+    _preimage_array,
     boundary_density,
     classify_spectrum,
     point_spectrum,
-    preimage_stage,
     sample_bounded,
     transient_limit_check,
     verify_eigenpairs,
@@ -75,25 +77,30 @@ def root_clouds(draw, tol):
     return draw(st.permutations(pts))
 
 
+def preimages(sysm, r, w):
+    """The d_r solutions of f_r(z) = w."""
+    return _preimage_array(sysm, r, np.asarray([w], dtype=complex)).reshape(-1)
+
+
 class TestPreimage:
     def test_binary_half_of_one(self):
-        roots = sorted(preimage_stage(SYS_HALF, 1, 1.0), key=lambda z: z.real)
+        roots = sorted(preimages(SYS_HALF, 1, 1.0), key=lambda z: z.real)
         assert np.allclose(roots, [0.0, 1.0], atol=1e-12)
 
     def test_critical_value_double_root(self):
-        roots = preimage_stage(SYS_HALF, 1, 0.0)
+        roots = preimages(SYS_HALF, 1, 0.0)
         assert np.allclose(roots, [0.5, 0.5])
 
     def test_contains_one(self):
         for sysm in (SYS_HALF, SYS_37, SYS_DISK):
-            roots = preimage_stage(sysm, 3, 1.0)
+            roots = preimages(sysm, 3, 1.0)
             assert min(abs(z - 1.0) for z in roots) < 1e-12
 
     @given(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), st.integers(1, 6))
     @settings(max_examples=150)
     def test_soundness(self, wt, r):
         w = complex(*wt)
-        for z in preimage_stage(SYS_37, r, w):
+        for z in preimages(SYS_37, r, w):
             assert abs(stage_map(SYS_37, r, z) - w) < 1e-10
 
 
@@ -291,7 +298,46 @@ class TestTransientLimits:
             transient_limit_check(SYS_37, grid, 5, 30)
 
 
+def reference_sample(sysm, count, depth, seed, rejection_budget=None):
+    """One draw pair and one scalar orbit at a time, then the chain fill.
+
+    Returns the sample and whether rejection alone filled it.
+    """
+    rng = np.random.default_rng(seed)
+    budget = rejection_budget if rejection_budget is not None else 40 * count
+    re_min, re_max, im_min, im_max = DEFAULT_WINDOW
+    out = []
+    for _ in range(budget):
+        if len(out) >= count:
+            break
+        lam = complex(rng.uniform(re_min, re_max), rng.uniform(im_min, im_max))
+        if not orbit(sysm, lam, depth).escaped:
+            out.append(lam)
+    filled = len(out) == count
+    chain_depth = next((j - 1 for j in range(1, depth + 1) if sysm.d(j) > CHAIN_DEGREE_LIMIT),
+                       depth)
+    while len(out) < count:
+        lam, _, resid = _boundary_chain(sysm, chain_depth, rng)
+        if resid < 1e-9:
+            out.append(lam)
+    return out, filled
+
+
 class TestSampleBounded:
+    def test_matches_scalar_rejection_loop(self):
+        branches = set()
+        for preset in ("fig3a", "fig6c", "fig7a", "fig8a", "fig10c"):
+            base_spec, probs_spec = PRESETS[preset]
+            sysm = FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+            for seed in range(3):
+                for count, budget in ((10, None), (5, 3)):
+                    expected, filled = reference_sample(sysm, count, 200, seed, budget)
+                    branches.add(filled)
+                    got = sample_bounded(sysm, count, depth=200, seed=seed,
+                                         rejection_budget=budget)
+                    assert got == expected, (preset, seed, count, budget)
+        assert branches == {True, False}
+
     def test_fat_set_uses_rejection(self):
         lams = sample_bounded(SYS_DISK, 8, depth=100, seed=0)
         assert len(lams) == 8
