@@ -250,6 +250,8 @@ def _suite_factorization(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
 
 def _suite_transient(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     if sysm.probs.infinite_product() <= 0.0:
+        if machine.classify_chain(sysm.probs) == machine.TRANSIENT:
+            return True, "skipped (probability product positive but below double precision)"
         return True, "skipped (vanishing probability product)"
     grid = julia.render(sysm, DEFAULT_WINDOW, (192, 192), 200)
     rep = spectrum.transient_limit_check(sysm, grid, sample_count=12, r_probe=60,

@@ -5,7 +5,10 @@ parameter lam is bounded exactly when every composed value has modulus <= 1,
 so the escape bailout radius is 1 (not the conventional 2) and an escape at
 any stage certifies the parameter outside the bounded set.  Pixels are only
 ever classified "escaped at stage r" or "bounded up to the probed depth";
-no pixel is certified inside.
+no pixel is certified inside.  The escape kernel may decide "bounded" before
+the last stage, once a parameter's composed value lies inside a trapping
+radius (see ``_trap_radii``) that proves it stays in the unit disk through
+the probed depth; the result still only means "bounded up to that depth".
 """
 
 from __future__ import annotations
@@ -215,27 +218,119 @@ def factorization_check(sys: FiberedSystem, lam: complex, r: int, k: int) -> flo
     return abs(lhs - rhs)
 
 
+_U = 2.0 ** -53  # unit roundoff of double precision
+_ETA = 2.0 ** -990  # bounds every underflow term of one stage
+_TAU_FLOOR = 2.0 ** -900  # smaller radii are not kept
+_NO_TRAP = -1.0  # radius of a stage that traps nothing; below every modulus
+
+
+def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
+    """Radii tau_0..tau_depth: if ``np.abs`` of the composed value after stage
+    r (the parameter itself for r = 0) is <= tau_r, then ``_render_band``
+    computes no modulus above 1 at any stage up to ``depth``.
+
+    Exactly, a disk of radius t maps under f_r into the disk of radius
+    ((t + 1 - p_r) / p_r) ** d_r, so tau_{r-1} = p_r * tau_r ** (1/d_r) - (1 - p_r)
+    with tau_depth = 1.  The radii below bound the moduli that ``np.abs``
+    returns for the orbit as ``stage_map`` computes it in doubles (u = 2**-53,
+    eta = 2**-990 for every underflow term, c = the double 1 - p_r):
+
+    - ``np.abs``: |np.abs(v) - |v|| <= 4u |v| + eta.  libm ``hypot`` is within
+      one ulp; numpy's SIMD loop takes a scaled square root of the sum of
+      squares in a few roundings.  ``tests/test_julia.py`` checks this bound
+      and those below for ``- c``, ``/ p`` and complex products in exact
+      arithmetic.
+    - ``z - c``: numpy subtracts c + 0j, so the imaginary part is exact and
+      |fl(z - c)| <= (1 + u) |z - c| <= (1 + u) (|z| + c).  No underflow term:
+      a subtraction that lands below the normal range is exact.
+    - ``/ p``: numpy divides by p + 0j with Smith's formula, which multiplies
+      each part by fl(1 / p): two roundings, |w| <= (1 + u)**2 |x| / p + eta.
+    - ``_pow_int``: the first product is by 1.0, exact; every other complex
+      product has |fl(ab)| <= max((1 + 3u) |a| |b|, 2**-999), since its
+      normwise error is <= sqrt(5) u without FMA and 2u with it, plus at most
+      2**-1070 of underflow.  By induction over the binary powering, the
+      computed w ** m has modulus <= max((1 + 3u)**(m-1) |w|**m, 2**-999) while
+      (1 + 3u) |w| <= 1: the whole power costs one factor (1 + 3u) inside the
+      d-th root.
+
+    Chaining the four (np.abs of v, then of f_r(v)), np.abs(v) <= t implies
+    np.abs(f_r(v)) <= tau_r when
+        t <= (1-4u) [p (T**(1/d) / (1+3u) - eta) / (1+u)**3 - c] - eta,
+        T = (tau_r - eta) / (1 + 4u) >= 2**-999,
+    and the right side is >= (1 - 10u) Y - c - 2 eta with Y = p T**(1/d).  The
+    radius is then evaluated in doubles, each step rounded the safe way:
+
+    - x = fl(fl(tau_r - eta) (1 - 8u)) <= T (two roundings up at most);
+    - z = fl(x ** fl(1/d)) (1 - (8 + ceil(-log z)) u) <= x ** (1/d): libm ``pow``
+      is within one ulp, and rounding 1/d moves the root by a relative
+      |log z| u at most;
+    - y = fl(p z) <= Y (1 + u), so (1 - 10u) Y >= (1 - 11u) y;
+    - tau_{r-1} = fl(fl(y - c) - fl(16u fl(y + c))).  The rounding of the
+      cancelling difference is absolute, at most (2u + u**2) (y + c) over
+      both subtractions, so the cut of 16u (y + c) covers it, the 11u y and,
+      as tau_{r-1} >= 2**-900, the 2 eta.
+
+    A radius below 2**-900 (in particular one <= 0) and every radius before it
+    is the sentinel -1, so no modulus, not even 0, is trapped there.  With
+    ``bailout < 1`` nothing is trapped; with any ``bailout >= 1`` the radii
+    hold unchanged, since a modulus <= 1 never escapes.
+    """
+    tau = [_NO_TRAP] * (depth + 1)
+    if not bailout >= 1.0:
+        return tau
+    t = tau[depth] = 1.0
+    for r in range(depth, 0, -1):
+        x = (t - _ETA) * (1.0 - 8 * _U)
+        z = x ** (1 / sys.d(r))  # int division: no overflow for huge degrees
+        z *= 1.0 - (8 + math.ceil(-math.log(z))) * _U
+        y = sys.p(r) * z
+        c = sys.center(r)
+        t = (y - c) - 16 * _U * (y + c)
+        if not t >= _TAU_FLOOR:
+            break
+        tau[r - 1] = t
+    return tau
+
+
 def _render_band(sys: FiberedSystem, lam_flat: np.ndarray, depth: int,
                  bailout: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Escape flags and stages of the orbits of ``lam_flat``, leaving at modulus
-    > ``bailout``.  Values may overflow once past the unit disk; that is ignored."""
+    > ``bailout``.  Values may overflow once past the unit disk; that is ignored.
+
+    A parameter whose modulus after stage r is <= tau_r (r = 0 tests the
+    parameter itself) provably never escapes through ``depth``, so it leaves
+    the loop with the default result, not escaped at stage ``depth``.  The
+    radii follow tau_depth = 1, tau_{r-1} = p_r tau_r ** (1/d_r) - (1 - p_r),
+    shrunk by margins that cover every rounding of ``stage_map``, of
+    ``np.abs`` and of the recursion itself; ``_trap_radii`` gives the proof.
+    So flags and stages are those of iterating every parameter through every
+    stage.  Stages without a positive radius skip the compare.
+    """
     n = lam_flat.size
     escaped = np.zeros(n, dtype=bool)
     stage = np.full(n, depth, dtype=np.int32)
+    tau = _trap_radii(sys, depth, bailout)
     active = np.arange(n)
-    v = lam_flat.astype(complex)  # orbit values of the active parameters
+    v = np.asarray(lam_flat, dtype=complex)  # orbit values of the active parameters
     with np.errstate(over="ignore", invalid="ignore"):
+        if tau[0] > 0.0:
+            keep = ~(np.abs(v) <= tau[0])
+            active, v = active[keep], v[keep]
         for r in range(1, depth + 1):
+            if active.size == 0:
+                break
             v = stage_map(sys, r, v)
-            esc = np.abs(v) > bailout
+            mod = np.abs(v)
+            esc = mod > bailout
             if esc.any():
                 hit = active[esc]
                 escaped[hit] = True
                 stage[hit] = r
-                active = active[~esc]
-                v = v[~esc]
-                if active.size == 0:
-                    break
+            gone = esc
+            if r < depth and tau[r] > 0.0:
+                gone = esc | (mod <= tau[r])
+            if gone.any():
+                active, v = active[~gone], v[~gone]
     return escaped, stage
 
 
@@ -260,15 +355,17 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     dy = (im_max - im_min) / height
     xs = re_min + (np.arange(width) + 0.5) * dx
     ys = im_max - (np.arange(height) + 0.5) * dy
-    lam = (xs[None, :] + 1j * ys[:, None]).reshape(-1)
+
+    def band(rows):
+        # Each band builds its own parameters, element by element as a
+        # whole-grid build would, so no full grid is ever held.
+        return _render_band(sys, (xs[None, :] + 1j * ys[rows, None]).reshape(-1), depth)
 
     # Whole rows per band, at least one band; the bands are contiguous and in
     # order, so their concatenation is the grid.
     bands = np.array_split(np.arange(height), max(1, min(threads, height)))
     with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-        parts = list(pool.map(
-            lambda rows: _render_band(sys, lam[rows[0] * width:(rows[-1] + 1) * width], depth),
-            bands))
+        parts = list(pool.map(band, bands))
     escaped = np.concatenate([e for e, _ in parts])
     stage = np.concatenate([s for _, s in parts])
 

@@ -30,6 +30,7 @@ from .julia import (
 )
 from .machine import (
     RECURRENT,
+    TRANSIENT,
     SparseTransitionMatrix,
     build_matrix,
     classify_chain,
@@ -321,6 +322,9 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
     """
     tail = sys.probs.infinite_product()
     if tail <= 0.0:
+        if classify_chain(sys.probs) == TRANSIENT:
+            raise ValueError("transient limit check: probability product positive "
+                             "but below double precision")
         raise ValueError("transient limit check requires a positive probability product")
     rng = np.random.default_rng(seed)
     lower = 2.0 * tail - 1.0 - band_slack

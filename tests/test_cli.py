@@ -194,6 +194,21 @@ class TestVerify:
             assert flag == escaped
 
 
+    def test_transient_skip_underflowing_product(self, capsys):
+        # prod p_r = 1e-400 is positive but rounds to 0.0 in double precision
+        code, out, _ = run(capsys, "verify", "--suite", "transient", "--base", "const:3",
+                           "--probs", "plist:1e-200,1e-200;tail=1")
+        assert code == 0
+        assert out == ("PASS transient custom skipped "
+                       "(probability product positive but below double precision)\n")
+
+    def test_transient_skip_vanishing_product(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "transient", "--base", "const:3",
+                           "--probs", "pconst:0.7")
+        assert code == 0
+        assert out == "PASS transient custom skipped (vanishing probability product)\n"
+
+
 class TestReport:
     KEYS = {"base", "probs", "regime", "claimed_spectrum", "eigen_max_residual",
             "eigen_states", "boundary_sup_min_dist", "boundary_coverage",

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from stochadd.cli import PRESETS
 from stochadd.julia import (
     DEFAULT_WINDOW,
     FiberedSystem,
+    _render_band,
+    _trap_radii,
     band_depth,
     boundary_pixels,
     eigvec,
@@ -340,3 +344,219 @@ class TestImageFiles:
         write_pgm(grid, a)
         write_pgm(render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (48, 48), 30), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Trapping radii in the escape kernel
+# ---------------------------------------------------------------------------
+
+U = 2.0 ** -53
+PRESET_SYSTEMS = {name: FiberedSystem(parse_base_spec(b), parse_probs_spec(p))
+                  for name, (b, p) in PRESETS.items()}
+
+
+def untrapped_band(sysm, lam_flat, depth, bailout=1.0):
+    """The escape kernel without trapping radii: every parameter runs until it
+    escapes or reaches ``depth``.  The oracle for ``_render_band``."""
+    n = lam_flat.size
+    escaped = np.zeros(n, dtype=bool)
+    stage = np.full(n, depth, dtype=np.int32)
+    active = np.arange(n)
+    v = lam_flat.astype(complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(1, depth + 1):
+            v = stage_map(sysm, r, v)
+            esc = np.abs(v) > bailout
+            if esc.any():
+                hit = active[esc]
+                escaped[hit] = True
+                stage[hit] = r
+                active = active[~esc]
+                v = v[~esc]
+                if active.size == 0:
+                    break
+    return escaped, stage
+
+
+def assert_matches_oracle(sysm, lam, depth, bailout=1.0):
+    got_esc, got_stage = _render_band(sysm, lam, depth, bailout)
+    want_esc, want_stage = untrapped_band(sysm, lam, depth, bailout)
+    assert np.array_equal(got_esc, want_esc)
+    assert np.array_equal(got_stage, want_stage)
+    return want_esc
+
+
+def unit_circle(rng, count):
+    """Doubles on the unit circle whose np.abs is <= 1."""
+    lam = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+    return lam[np.abs(lam) <= 1.0]
+
+
+def near_modulus(rng, mod, count, ulps=40):
+    """Points whose modulus is within about ``ulps`` ulp of ``mod``."""
+    m = mod + rng.integers(-ulps, ulps + 1, count) * np.spacing(mod)
+    return m * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, count))
+
+
+def near_radius(sysm, depth, rng, count, k, ulps=40):
+    """Parameters whose stage-k value lies near tau_k: stage-k points within
+    ``ulps`` ulp of that modulus, pulled back through stages k..1 on random
+    branches.  For k = 1 the stage-1 value stays within a few ulp of the
+    target; deeper pull-backs spread wider but still straddle tau_k."""
+    tau_k = _trap_radii(sysm, depth, 1.0)[k]
+    if tau_k <= 0.0:
+        return np.empty(0, dtype=complex)
+    w = near_modulus(rng, tau_k, count, ulps)
+    for r in range(k, 0, -1):
+        d = sysm.d(r)
+        branch = np.exp(2j * np.pi * rng.integers(0, d, count) / d)
+        w = sysm.center(r) + sysm.p(r) * (np.abs(w) ** (1.0 / d)
+                                          * np.exp(1j * np.angle(w) / d) * branch)
+    return w
+
+
+def first_radius(sysm, depth):
+    """First stage >= 1 with a positive radius."""
+    return min(r for r, t in enumerate(_trap_radii(sysm, depth, 1.0)) if r >= 1 and t > 0.0)
+
+
+def probe_parameters(sysm, depth, rng):
+    tau0 = _trap_radii(sysm, depth, 1.0)[0]
+    parts = [rng.uniform(-1.6, 1.6, (120, 2)).view(complex)[:, 0],
+             unit_circle(rng, 60),
+             near_radius(sysm, depth, rng, 60, min(first_radius(sysm, depth), 5)),
+             np.array([sysm.center(1), 1.0, 0.0])]
+    if tau0 > 0.0:
+        parts.append(near_modulus(rng, tau0, 60))
+    return np.concatenate(parts)
+
+
+class TestTrapRadii:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_radii_are_sentinel_or_usable(self, name):
+        tau = _trap_radii(PRESET_SYSTEMS[name], 200, 1.0)
+        assert len(tau) == 201 and tau[200] == 1.0
+        assert all(t == -1.0 or 2.0 ** -900 <= t <= 1.0 for t in tau)
+        # once a stage traps nothing, no earlier stage does
+        first = min(r for r, t in enumerate(tau) if t > 0.0)
+        assert all(t > 0.0 for t in tau[first:])
+
+    def test_bailout_below_one_traps_nothing(self):
+        assert _trap_radii(SYS_DISK, 50, 0.999) == [-1.0] * 51
+        assert _trap_radii(SYS_DISK, 50, float("nan")) == [-1.0] * 51
+
+    def test_any_bailout_from_one_gives_the_same_radii(self):
+        for sysm in (SYS_DISK, SYS_37, PRESET_SYSTEMS["fig8a"]):
+            assert _trap_radii(sysm, 120, 1.0) == _trap_radii(sysm, 120, 1e6)
+
+    def test_disk_radii_stay_just_below_one(self):
+        tau = _trap_radii(SYS_DISK, 200, 1.0)
+        assert all(1.0 - 1e-13 < t < 1.0 - 8 * U for t in tau[:200])
+
+
+class TestHostRounding:
+    """The per-operation error bounds that ``_trap_radii`` relies on, checked
+    against exact rational arithmetic on this numpy build."""
+
+    @staticmethod
+    def draws(count, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-300, 2, count)
+        return rng.uniform(-2, 2, (count, 2)).view(complex)[:, 0] * scale
+
+    def test_abs_within_four_units(self):
+        z = self.draws(2000, 0)
+        for lam, a in zip(z.tolist(), np.abs(z).tolist()):
+            exact = Fraction(lam.real) ** 2 + Fraction(lam.imag) ** 2
+            assert Fraction(a) ** 2 <= (1 + 4 * Fraction(U)) ** 2 * exact
+            assert Fraction(a) ** 2 >= (1 - 4 * Fraction(U)) ** 2 * exact
+
+    @pytest.mark.parametrize("p", [0.7, 0.55, 0.3, 0.81, 0.695, 0.704, 1.0])
+    def test_subtract_and_divide_by_real(self, p):
+        z = self.draws(1000, 1)
+        c = 1.0 - p
+        x = z - c
+        assert np.array_equal(x.imag, z.imag)
+        w = x / p
+        bound = (1 + Fraction(U)) ** 2
+        for xk, wk in zip(np.concatenate([x.real, x.imag]).tolist(),
+                          np.concatenate([w.real, w.imag]).tolist()):
+            exact = Fraction(xk) / Fraction(p)
+            assert abs(Fraction(wk)) <= bound * abs(exact) + Fraction(2.0 ** -1074)
+
+    @pytest.mark.parametrize("size", [1, 2, 1000])
+    def test_complex_multiply_within_three_units(self, size):
+        rng = np.random.default_rng(size)
+        a = rng.uniform(-1, 1, (1000, 2)).view(complex)[:, 0]
+        b = rng.uniform(-1, 1, (1000, 2)).view(complex)[:, 0]
+        for j in range(0, 1000, size):
+            for x, y, o in zip(a[j:j + size].tolist(), b[j:j + size].tolist(),
+                               (a[j:j + size] * b[j:j + size]).tolist()):
+                er = Fraction(x.real) * Fraction(y.real) - Fraction(x.imag) * Fraction(y.imag)
+                ei = Fraction(x.real) * Fraction(y.imag) + Fraction(x.imag) * Fraction(y.real)
+                err2 = (Fraction(o.real) - er) ** 2 + (Fraction(o.imag) - ei) ** 2
+                assert err2 <= (3 * Fraction(U)) ** 2 * (er ** 2 + ei ** 2)
+
+
+class TestTrappedKernel:
+    @given(st.sampled_from(sorted(PRESETS)), st.sampled_from([1, 7, 60, 200]),
+           st.sampled_from([1.0, 1e6]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_untrapped_kernel(self, name, depth, bailout, seed):
+        sysm = PRESET_SYSTEMS[name]
+        lam = probe_parameters(sysm, depth, np.random.default_rng(seed))
+        assert_matches_oracle(sysm, lam, depth, bailout)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_render_matches_untrapped_kernel(self, name):
+        sysm = PRESET_SYSTEMS[name]
+        grid = render(sysm, DEFAULT_WINDOW, (96, 96), 200, threads=2)
+        lam = grid.center_at(*np.indices(grid.escaped.shape)).reshape(-1)
+        esc, stage = untrapped_band(sysm, lam, 200)
+        assert np.array_equal(grid.escaped.reshape(-1), esc)
+        assert np.array_equal(grid.stage.reshape(-1), stage)
+
+    @pytest.mark.parametrize("depth", [1, 60])
+    def test_unit_circle_rounding_escapes(self, depth):
+        # on the closed unit disk every stage value stays on it in exact
+        # arithmetic, yet about half of these doubles escape by rounding
+        lam = unit_circle(np.random.default_rng(7), 20_000)
+        esc = assert_matches_oracle(SYS_DISK, lam, depth)
+        if depth == 60:
+            assert 0.3 < esc.mean() < 0.7
+
+    def test_just_outside_the_unit_circle(self):
+        rng = np.random.default_rng(8)
+        lam = near_modulus(rng, 1.0, 4000, ulps=10 ** 7)
+        esc = assert_matches_oracle(SYS_DISK, lam, 60)
+        assert esc[np.abs(lam) > 1.0].all()
+
+    @pytest.mark.parametrize("name", ["fig3a", "fig4a", "fig4c", "fig6a", "fig6b", "fig8a",
+                                      "fig8b", "fig10c"])
+    @pytest.mark.parametrize("bailout", [1.0, 1e6])
+    def test_first_radius_neighbourhood(self, name, bailout):
+        sysm = PRESET_SYSTEMS[name]
+        k = first_radius(sysm, 200)
+        lam = near_radius(sysm, 200, np.random.default_rng(9), 3000, k)
+        v = lam
+        for r in range(1, k + 1):
+            v = stage_map(sysm, r, v)
+        tau_k = _trap_radii(sysm, 200, 1.0)[k]
+        assert (np.abs(v) <= tau_k).any() and (np.abs(v) > tau_k).any()
+        assert_matches_oracle(sysm, lam, 200, bailout)
+
+    def test_zero_stage_value_is_not_trapped(self):
+        # lam = 1 - p_1 makes v_1 exactly 0; stage 2 maps it to (-0.7/0.3)**2
+        sysm = FiberedSystem(BaseSeq("const", (2,)), parse_probs_spec("plist:0.5,0.3;tail=0.3"))
+        lam = np.array([0.5 + 0j])
+        assert stage_map(sysm, 1, lam)[0] == 0
+        esc, stage = _render_band(sysm, lam, 200)
+        assert esc[0] and stage[0] == 2
+        assert_matches_oracle(sysm, lam, 200)
+
+    def test_bailout_below_one(self):
+        rng = np.random.default_rng(10)
+        lam = np.concatenate([unit_circle(rng, 500), 0.9 * unit_circle(rng, 500),
+                              rng.uniform(-1, 1, (500, 2)).view(complex)[:, 0]])
+        for sysm in (SYS_DISK, SYS_HALF, PRESET_SYSTEMS["fig3a"]):
+            assert_matches_oracle(sysm, lam, 40, bailout=0.5)

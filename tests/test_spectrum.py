@@ -294,8 +294,14 @@ class TestTransientLimits:
 
     def test_recurrent_config_rejected(self):
         grid = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (64, 64), 30)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="requires a positive probability product"):
             transient_limit_check(SYS_37, grid, 5, 30)
+
+    def test_underflowing_product_rejected_with_its_reason(self):
+        tiny = FiberedSystem(BaseSeq("const", (3,)), parse_probs_spec("plist:1e-200,1e-200;tail=1"))
+        grid = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (64, 64), 30)
+        with pytest.raises(ValueError, match="positive but below double precision"):
+            transient_limit_check(tiny, grid, 5, 30)
 
 
 def reference_sample(sysm, count, depth, seed, rejection_budget=None):
