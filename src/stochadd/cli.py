@@ -218,14 +218,12 @@ def _suite_escape(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
 def _suite_witness(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     n = largest_level(sysm.base, 1024)
     mat = machine.build_matrix(n, sysm.base, sysm.probs)
-    csr = mat.to_csr()
-    mask = mat.unclipped_mask()
     lams = spectrum.sample_bounded(sysm, 10, depth=200, seed=seed)
     worst_slack = -1e30
     for lam in lams:
         for t in range(1, 5):
             g = julia.witness(sysm, lam, t, n)
-            resid = float(np.abs((csr @ g - lam * g)[mask]).max())
+            resid = spectrum.eigen_residual(mat, lam, g)
             bound = 3.0 * sysm.probs.prefix_product(t) + 1e-12
             worst_slack = max(worst_slack, resid - bound)
     return worst_slack <= 0.0, f"n={n} worst_over_bound={worst_slack:.17g}"
@@ -249,10 +247,9 @@ def _suite_factorization(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
 
 
 def _suite_transient(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
-    if sysm.probs.infinite_product() <= 0.0:
-        if machine.classify_chain(sysm.probs) == machine.TRANSIENT:
-            return True, "skipped (probability product positive but below double precision)"
-        return True, "skipped (vanishing probability product)"
+    reason = spectrum.transient_skip_reason(sysm.probs)
+    if reason is not None:
+        return True, f"skipped ({reason})"
     grid = julia.render(sysm, DEFAULT_WINDOW, (192, 192), 200)
     rep = spectrum.transient_limit_check(sysm, grid, sample_count=12, r_probe=60,
                                          seed=seed)
@@ -315,9 +312,13 @@ def cmd_report(args) -> int:
         f"claimed_spectrum={rep.claimed_spectrum}",
         f"eigen_max_residual={_fmt(eig.max_residual)}",
         f"eigen_states={eig.n_states}",
-        f"boundary_sup_min_dist={_fmt(rep.evidence['boundary_sup_min_dist'])}",
-        f"boundary_coverage={_fmt(rep.evidence['boundary_coverage'])}",
     ]
+    skipped = rep.evidence.get("boundary_density_skipped")
+    if skipped is not None:
+        lines.append(f"boundary_density=skipped ({skipped})")
+    else:
+        lines += [f"boundary_sup_min_dist={_fmt(rep.evidence['boundary_sup_min_dist'])}",
+                  f"boundary_coverage={_fmt(rep.evidence['boundary_coverage'])}"]
     trep = rep.evidence.get("transient_limits")
     if trep is not None:
         lines += [

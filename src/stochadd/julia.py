@@ -13,14 +13,13 @@ the probed depth; the result still only means "bounded up to that depth".
 
 from __future__ import annotations
 
-import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numeration import BaseSeq, ProbSeq, to_digits
+from .numeration import BaseSeq, ProbSeq, digits_matrix
 
 DEFAULT_DEPTH = 200
 DEFAULT_WINDOW = (-1.6, 1.6, -1.6, 1.6)
@@ -117,6 +116,13 @@ def stage_map(sys: FiberedSystem, r: int, z):
     return _pow_int((z - sys.center(r)) / sys.p(r), sys.d(r))
 
 
+def stage_jet(sys: FiberedSystem, r: int, z):
+    """(f_r(z), f_r'(z)) for a complex scalar or array; f_r(z) has ``stage_map``'s bits."""
+    d, p = sys.d(r), sys.p(r)
+    h = (z - sys.center(r)) / p
+    return _pow_int(h, d), d * _pow_int(h, d - 1) / p
+
+
 def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False) -> OrbitResult:
     """Composed orbit of lam, stopping at the first stage with modulus > 1.
 
@@ -147,21 +153,6 @@ def stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex]:
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _digits_matrix(base: BaseSeq, n: int) -> np.ndarray:
-    """Digit expansions of 0..n-1 as an (n, L) int array, read-only."""
-    length = len(to_digits(n - 1, base).digits) if n > 1 else 0
-    out = np.zeros((n, length), dtype=np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    place = 1
-    for r in range(1, length + 1):
-        d = base.at(r)
-        out[:, r - 1] = (idx // place) % d
-        place *= d
-    out.setflags(write=False)
-    return out
-
-
 def _digit_power_product(sys: FiberedSystem, stage_vals: list[complex], digits: np.ndarray) -> np.ndarray:
     """prod_r stage_vals[r] ** digit_r per row of ``digits``, with 0**0 = 1."""
     n = digits.shape[0]
@@ -179,16 +170,14 @@ def _digit_power_product(sys: FiberedSystem, stage_vals: list[complex], digits: 
 def eigvec(sys: FiberedSystem, lam: complex, n: int) -> np.ndarray:
     """Candidate eigenvector: entry m is the product of stage values raised to
     the digits of m.  Zero stage values contribute 1 at digit 0."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return witness(sys, lam, max(1, _digits_matrix(sys.base, n).shape[1]), n)
+    return witness(sys, lam, n, n)  # n exceeds the digit count of every state < n
 
 
 def witness(sys: FiberedSystem, lam: complex, t: int, n: int) -> np.ndarray:
     """Depth-t truncated eigen-witness: only the first t digit positions count."""
     if t < 1 or n < 1:
         raise ValueError("t and n must be >= 1")
-    digits = _digits_matrix(sys.base, n)
+    digits = digits_matrix(sys.base, n)
     cut = min(t, digits.shape[1])
     vals = stage_values(sys, lam, cut) if cut else []
     return _digit_power_product(sys, vals, digits[:, :cut])
@@ -351,26 +340,22 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     if depth < 1:
         raise ValueError("depth must be >= 1")
 
-    dx = (re_max - re_min) / width
-    dy = (im_max - im_min) / height
-    xs = re_min + (np.arange(width) + 0.5) * dx
-    ys = im_max - (np.arange(height) + 0.5) * dy
+    grid = MembershipGrid((re_min, re_max, im_min, im_max), width, height, depth,
+                          np.empty((height, width), dtype=bool),
+                          np.empty((height, width), dtype=np.int32))
 
     def band(rows):
-        # Each band builds its own parameters, element by element as a
-        # whole-grid build would, so no full grid is ever held.
-        return _render_band(sys, (xs[None, :] + 1j * ys[rows, None]).reshape(-1), depth)
+        # Each band builds and fills only its own rows: no full parameter grid is held.
+        lam = grid.center_at(rows[:, None], np.arange(width)).reshape(-1)
+        escaped, stage = _render_band(sys, lam, depth)
+        grid.escaped[rows] = escaped.reshape(-1, width)
+        grid.stage[rows] = stage.reshape(-1, width)
 
-    # Whole rows per band, at least one band; the bands are contiguous and in
-    # order, so their concatenation is the grid.
+    # Whole rows per band, at least one band; the bands cover every row once.
     bands = np.array_split(np.arange(height), max(1, min(threads, height)))
     with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-        parts = list(pool.map(band, bands))
-    escaped = np.concatenate([e for e, _ in parts])
-    stage = np.concatenate([s for _, s in parts])
-
-    return MembershipGrid((re_min, re_max, im_min, im_max), width, height, depth,
-                          escaped.reshape(height, width), stage.reshape(height, width))
+        list(pool.map(band, bands))  # reading the results re-raises a band's error
+    return grid
 
 
 def band_depth(resolution) -> int:
@@ -386,15 +371,19 @@ def band_depth(resolution) -> int:
     return max(8, round(1.5 * math.log2(min(width, height))))
 
 
+def _has_neighbor(mask: np.ndarray) -> np.ndarray:
+    """Pixels with a True 4-neighbor inside the grid."""
+    out = np.zeros_like(mask)
+    out[1:, :] |= mask[:-1, :]
+    out[:-1, :] |= mask[1:, :]
+    out[:, 1:] |= mask[:, :-1]
+    out[:, :-1] |= mask[:, 1:]
+    return out
+
+
 def boundary_pixels(grid: MembershipGrid) -> np.ndarray:
     """(row, col) pairs of bounded pixels with an escaped 4-neighbor."""
-    esc = grid.escaped
-    neighbor = np.zeros_like(esc)
-    neighbor[1:, :] |= esc[:-1, :]
-    neighbor[:-1, :] |= esc[1:, :]
-    neighbor[:, 1:] |= esc[:, :-1]
-    neighbor[:, :-1] |= esc[:, 1:]
-    return np.argwhere(~esc & neighbor)
+    return np.argwhere(~grid.escaped & _has_neighbor(grid.escaped))
 
 
 # ---------------------------------------------------------------------------

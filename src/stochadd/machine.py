@@ -28,6 +28,7 @@ from .numeration import (
     BaseSeq,
     ProbSeq,
     counter,
+    digits_matrix,
     from_digits,
     to_digits,
     truncate_digits,
@@ -148,7 +149,7 @@ def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransiti
     if n_states < 2:
         raise ValueError("need at least 2 states")
     states = np.arange(n_states, dtype=np.int64)
-    s_n = 1 + _leading_run(states, base, maximal=True)[0]
+    s_n = 1 + _leading_run(n_states, base, maximal=True)[0]
     prefix, halts, stay = _row_table(base, probs, int(s_n.max()))
     stays = stay > 0.0
 
@@ -183,22 +184,16 @@ def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransiti
     return SparseTransitionMatrix(n_states, csr, base, probs, clipped)
 
 
-def _leading_run(states: np.ndarray, base: BaseSeq, maximal: bool) -> tuple[np.ndarray, np.ndarray]:
+def _leading_run(n: int, base: BaseSeq, maximal: bool) -> tuple[np.ndarray, np.ndarray]:
     """Length z of the leading run of maximal (or of zero) digits of every
-    state, and its place value prod_{i<=z} d_i; state 0 has an empty run."""
-    length = np.zeros(states.shape, dtype=np.int64)
-    place = np.ones(states.shape, dtype=np.int64)
-    rem = states.copy()
-    alive = states > 0
-    r = 1
-    while alive.any():
-        d = base.at(r)
-        alive &= rem % d == (d - 1 if maximal else 0)
-        length += alive
-        place[alive] *= d
-        rem //= d
-        r += 1
-    return length, place
+    state 0..n-1, and its place value prod_{i<=z} d_i; state 0 has an empty run."""
+    digits = digits_matrix(base, n)
+    d = np.array([base.at(r) for r in range(1, digits.shape[1] + 1)], dtype=np.int64)
+    run = np.logical_and.accumulate(digits == (d - 1 if maximal else 0), axis=1)
+    run[:1] = False  # state 0, all digits zero, has an empty run
+    length = run.sum(axis=1)
+    # A run's place value is at most n, so these products stay in int64.
+    return length, np.concatenate(([1], np.cumprod(d[:length.max()])))[length]
 
 
 def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, bool]]:
@@ -213,7 +208,7 @@ def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, boo
     # bincount adds in CSR (row-major) order, like a loop over the rows.
     sums = np.bincount(csr.indices, weights=csr.data, minlength=mat.dim)
     cols = np.arange(mat.dim, dtype=np.int64)
-    zero_place = _leading_run(cols, mat.base, maximal=False)[1]
+    zero_place = _leading_run(mat.dim, mat.base, maximal=False)[1]
     complete = (cols > 0) & (cols + zero_place - 1 < mat.dim)
     return list(zip(range(mat.dim), sums.tolist(), complete.tolist()))
 

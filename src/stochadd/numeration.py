@@ -13,7 +13,10 @@ wrapping, so cumulative products stay usable as array indices downstream.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
+
+import numpy as np
 
 INT64_MAX = (1 << 63) - 1
 
@@ -238,6 +241,23 @@ def to_digits(n: int, base: BaseSeq) -> DigitVec:
         digits.append(a)
         r += 1
     return DigitVec(tuple(digits), base)
+
+
+@functools.lru_cache(maxsize=64)
+def digits_matrix(base: BaseSeq, n: int) -> np.ndarray:
+    """Digit expansions of 0..n-1 as a read-only (n, L) array, zero-padded on
+    the right, L the length of the expansion of n - 1; column-major, of the
+    smallest unsigned type that holds every digit (each is below d_r and n)."""
+    places = [1]  # places[r] = prod_{i<=r} d_i; the last one is the first >= n
+    while places[-1] < n:
+        places.append(places[-1] * base.at(len(places)))
+    top = min(n, max((base.at(r) for r in range(1, len(places))), default=1)) - 1
+    out = np.zeros((n, len(places) - 1), dtype=np.min_scalar_type(top), order="F")
+    q = np.arange(n, dtype=np.int64)
+    for r in range(1, len(places)):
+        q, out[:, r - 1] = np.divmod(q, base.at(r))
+    out.setflags(write=False)
+    return out
 
 
 def from_digits(dv: DigitVec) -> int:

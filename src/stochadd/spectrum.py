@@ -11,7 +11,7 @@ re-running the (exponentially ill-conditioned) forward orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -20,25 +20,24 @@ from .julia import (
     DEFAULT_WINDOW,
     FiberedSystem,
     MembershipGrid,
-    _pow_int,
+    _has_neighbor,
     _render_band,
     band_depth,
     boundary_pixels,
     eigvec,
     render,
+    stage_jet,
     stage_map,
 )
-from .machine import (
-    RECURRENT,
-    TRANSIENT,
-    SparseTransitionMatrix,
-    build_matrix,
-    classify_chain,
-)
-from .numeration import largest_level
+from .machine import RECURRENT, TRANSIENT, SparseTransitionMatrix, build_matrix, classify_chain
+from .numeration import ProbSeq, largest_level
 
 DEDUP_TOL = 1e-10
 ROOT_CAP = 200_000
+NEWTON_STEPS = 3  # composed Newton steps per depth
+INTERIOR_EROSION = 3  # 4-neighbor erosions that leave the deep interior
+INTERIOR_THRESHOLD = 0.1  # deep-interior moduli must collapse below this
+BAND_SLACK = 0.05  # allowance below 2 * prod p - 1 for boundary stage moduli
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class RootSet:
 
     depth: int
     roots: np.ndarray
-    dedup_tol: float = DEDUP_TOL
 
 
 @dataclass(frozen=True)
@@ -58,9 +56,10 @@ class PointSpectrum:
     capped: bool
 
     def all_roots(self) -> np.ndarray:
+        """The union of the levels: the deepest, since every f_r fixes 1."""
         if not self.levels:
             return np.zeros(0, dtype=complex)
-        return _dedup(np.concatenate([ls.roots for ls in self.levels]), DEDUP_TOL)
+        return self.levels[-1].roots
 
 
 def _preimage_array(sys: FiberedSystem, r: int, w: np.ndarray) -> np.ndarray:
@@ -71,29 +70,24 @@ def _preimage_array(sys: FiberedSystem, r: int, w: np.ndarray) -> np.ndarray:
     roots of unity, then one Newton polish step on f_r.
     """
     d = sys.d(r)
-    p = sys.p(r)
-    c = sys.center(r)
     zetas = np.exp(2j * np.pi * np.arange(d) / d)
     root = np.power(w, 1.0 / d)
-    z = c + p * root[None, :] * zetas[:, None]  # (d, len(w))
-    h = (z - c) / p
-    fz = _pow_int(h, d)
-    fpz = d * _pow_int(h, d - 1) / p
+    z = sys.center(r) + sys.p(r) * root[None, :] * zetas[:, None]  # (d, len(w))
+    fz, fpz = stage_jet(sys, r, z)
     safe = np.abs(fpz) > 1e-12
     z = np.where(safe, z - (fz - w[None, :]) / np.where(safe, fpz, 1.0), z)
     return z
 
 
-def _composed_newton(sys: FiberedSystem, z: np.ndarray, depth: int, steps: int = 3) -> np.ndarray:
+def _composed_newton(sys: FiberedSystem, z: np.ndarray, depth: int) -> np.ndarray:
     """Newton refinement of f~_depth(z) = 1 with the chain-rule derivative."""
     z = z.astype(complex)
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         v = z.copy()
         deriv = np.ones_like(z)
         for r in range(1, depth + 1):
-            h = (v - sys.center(r)) / sys.p(r)
-            deriv = deriv * (sys.d(r) * _pow_int(h, sys.d(r) - 1) / sys.p(r))
-            v = _pow_int(h, sys.d(r))
+            v, fp = stage_jet(sys, r, v)
+            deriv = deriv * fp
         resid = v - 1.0
         if np.abs(resid).max() < 1e-13:
             break
@@ -132,10 +126,9 @@ def point_spectrum(sys: FiberedSystem, r_max: int, cap: int = ROOT_CAP) -> Point
         raise ValueError("r_max must be >= 1")
     levels = []
     capped = False
+    count = 1
     for depth in range(1, r_max + 1):
-        count = 1
-        for j in range(1, depth + 1):
-            count *= sys.d(j)
+        count *= sys.d(depth)
         if count > cap:
             capped = True
             break
@@ -156,8 +149,12 @@ class EigenReport:
     ok: bool
 
 
-def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9,
-                      mat: SparseTransitionMatrix | None = None) -> EigenReport:
+def eigen_residual(mat: SparseTransitionMatrix, lam, v: np.ndarray) -> float:
+    """max |((S - lam I) v)_m| over the unclipped rows m of the truncation S."""
+    return float(np.abs((mat.to_csr() @ v - lam * v)[mat.unclipped_mask()]).max())
+
+
+def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9) -> EigenReport:
     """Residual of the eigen-equation over unclipped rows of the n-truncation.
 
     For each candidate eigenvalue lam the candidate eigenvector is built and
@@ -165,17 +162,12 @@ def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9,
     """
     if n < 2:
         raise ValueError("n must be >= 2")
-    if isinstance(roots, RootSet):
-        roots = roots.roots
-    if mat is None:
-        mat = build_matrix(n, sys.base, sys.probs)
-    csr = mat.to_csr()
-    mask = mat.unclipped_mask()
+    mat = build_matrix(n, sys.base, sys.probs)
     items = []
     worst = 0.0
     for lam in np.asarray(roots, dtype=complex):
         v = eigvec(sys, complex(lam), n)
-        resid = float(np.abs((csr @ v - lam * v)[mask]).max())
+        resid = eigen_residual(mat, lam, v)
         items.append((complex(lam), resid))
         worst = max(worst, resid)
     return EigenReport(n, tol, tuple(items), worst, worst <= tol)
@@ -214,24 +206,19 @@ class TransientReport:
     boundary_max_mod: float
     boundary_ok: bool
     chain_step_residual: float
-    boundary_samples: tuple[complex, ...] = field(default=(), repr=False)
 
     @property
     def ok(self) -> bool:
         return self.interior_ok and self.boundary_ok
 
 
-def _deep_interior_mask(grid: MembershipGrid, erosion: int = 3) -> np.ndarray:
+def _deep_interior_mask(grid: MembershipGrid) -> np.ndarray:
+    """Bounded pixels left by ``INTERIOR_EROSION`` erosions, each clearing the edge."""
     mask = ~grid.escaped
-    for _ in range(erosion):
-        inner = mask.copy()
-        inner[1:, :] &= mask[:-1, :]
-        inner[:-1, :] &= mask[1:, :]
-        inner[:, 1:] &= mask[:, :-1]
-        inner[:, :-1] &= mask[:, 1:]
-        inner[0, :] = inner[-1, :] = False
-        inner[:, 0] = inner[:, -1] = False
-        mask = inner
+    for _ in range(INTERIOR_EROSION):
+        mask = mask & ~_has_neighbor(~mask)
+        mask[0, :] = mask[-1, :] = False
+        mask[:, 0] = mask[:, -1] = False
     return mask
 
 
@@ -243,14 +230,11 @@ def _random_preimage(sys: FiberedSystem, r: int, w: complex, rng) -> complex:
     d = sys.d(r)
     if d > CHAIN_DEGREE_LIMIT:
         raise ValueError(f"stage degree {d} too large for chain sampling")
-    p = sys.p(r)
-    c = sys.center(r)
     branch = int(rng.integers(0, d))
-    z = c + p * w ** (1.0 / d) * np.exp(2j * np.pi * branch / d)
-    h = (z - c) / p
-    fpz = d * _pow_int(h, d - 1) / p
+    z = sys.center(r) + sys.p(r) * w ** (1.0 / d) * np.exp(2j * np.pi * branch / d)
+    fz, fpz = stage_jet(sys, r, z)
     if abs(fpz) > 1e-12:
-        z = z - (_pow_int(h, d) - w) / fpz
+        z = z - (fz - w) / fpz
     return complex(z)
 
 
@@ -272,10 +256,10 @@ def _boundary_chain(sys: FiberedSystem, depth: int, rng) -> tuple[complex, list[
 
 
 def sample_bounded(sys: FiberedSystem, count: int, depth: int = 200, seed: int = 0,
-                   window=DEFAULT_WINDOW, rejection_budget: int | None = None) -> list[complex]:
+                   rejection_budget: int | None = None) -> list[complex]:
     """Random parameters certified bounded through ``depth``.
 
-    ``rejection_budget`` uniform draws from the window (40 * count by default)
+    ``rejection_budget`` uniform draws from ``DEFAULT_WINDOW`` (40 * count by default)
     go through the escape kernel as one block, and the first ``count`` whose
     orbits stay bounded are kept in draw order.  When the bounded set has
     (numerically) empty interior, rejection never hits, so the remainder is
@@ -290,7 +274,7 @@ def sample_bounded(sys: FiberedSystem, count: int, depth: int = 200, seed: int =
         raise ValueError("depth must be >= 1")
     rng = np.random.default_rng(seed)
     budget = rejection_budget if rejection_budget is not None else 40 * count
-    re_min, re_max, im_min, im_max = window
+    re_min, re_max, im_min, im_max = DEFAULT_WINDOW
     # Rows of (re, im) pairs read as complex values: the parts stay as drawn.
     lam = rng.uniform((re_min, im_min), (re_max, im_max), size=(budget, 2)).view(complex)[:, 0]
     escaped, _ = _render_band(sys, lam, depth)
@@ -307,27 +291,34 @@ def sample_bounded(sys: FiberedSystem, count: int, depth: int = 200, seed: int =
     return out
 
 
+def transient_skip_reason(probs: ProbSeq) -> str | None:
+    """Why the transient limits cannot be probed, or None when they can: the
+    probe needs a probability product that is positive in double precision."""
+    if probs.infinite_product() > 0.0:
+        return None
+    if classify_chain(probs) == TRANSIENT:
+        return "probability product positive but below double precision"
+    return "vanishing probability product"
+
+
 def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count: int,
-                          r_probe: int, seed: int = 0, interior_threshold: float = 0.1,
-                          band_slack: float = 0.05) -> TransientReport:
+                          r_probe: int, seed: int = 0) -> TransientReport:
     """Probe the transient-regime limits at stage ``r_probe``.
 
     Deep-interior pixel centers are iterated forward and must have collapsed
-    below ``interior_threshold``.  Near-boundary samples are depth-``r_probe``
+    below ``INTERIOR_THRESHOLD``.  Near-boundary samples are depth-``r_probe``
     preimages of 1 built by backward iteration; their stage moduli are read
     off the verified chain and must stay within
-    [2 * prod p - 1 - band_slack, 1].  Forward re-iteration is not used for
+    [2 * prod p - 1 - BAND_SLACK, 1].  Forward re-iteration is not used for
     the boundary samples: parameter error is amplified by roughly the product
     of d_r / p_r per stage, which swamps double precision near the boundary.
     """
+    reason = transient_skip_reason(sys.probs)
+    if reason is not None:
+        raise ValueError(f"transient limit check requires a positive probability product ({reason})")
     tail = sys.probs.infinite_product()
-    if tail <= 0.0:
-        if classify_chain(sys.probs) == TRANSIENT:
-            raise ValueError("transient limit check: probability product positive "
-                             "but below double precision")
-        raise ValueError("transient limit check requires a positive probability product")
     rng = np.random.default_rng(seed)
-    lower = 2.0 * tail - 1.0 - band_slack
+    lower = 2.0 * tail - 1.0 - BAND_SLACK
 
     interior = np.argwhere(_deep_interior_mask(grid))
     if interior.shape[0] == 0:
@@ -340,11 +331,9 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
     interior_max = float(np.abs(v).max())
 
     boundary_mods = []
-    samples = []
     chain_resid = 0.0
     for _ in range(sample_count):
-        lam, vals, resid = _boundary_chain(sys, r_probe, rng)
-        samples.append(lam)
+        _, vals, resid = _boundary_chain(sys, r_probe, rng)
         chain_resid = max(chain_resid, resid)
         boundary_mods.append(abs(vals[r_probe - 1]))
     b_min = min(boundary_mods)
@@ -356,13 +345,12 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
         lower_bound=lower,
         interior_count=take,
         interior_max_mod=interior_max,
-        interior_ok=interior_max < interior_threshold,
+        interior_ok=interior_max < INTERIOR_THRESHOLD,
         boundary_count=sample_count,
         boundary_min_mod=b_min,
         boundary_max_mod=b_max,
         boundary_ok=(b_min >= lower and b_max <= 1.0 + 1e-12 and chain_resid < 1e-9),
         chain_step_residual=chain_resid,
-        boundary_samples=tuple(samples),
     )
 
 
@@ -375,14 +363,16 @@ class SpectrumReport:
 
 
 def classify_spectrum(sys: FiberedSystem, depth: int, resolution: int = 256,
-                      render_depth: int = 200, seed: int = 0) -> SpectrumReport:
+                      seed: int = 0) -> SpectrumReport:
     """Regime classification with attached numerical evidence.
 
     The vanishing-product regime claims the whole bounded set as spectrum;
     the positive-product regime claims only its boundary (and additionally
     must pass the transient limit probe).  Boundary density is reported as
-    evidence from a pixel-matched band render; only the eigen-equation
-    residuals and (in the transient regime) the limit probe gate ``ok``.
+    evidence from a pixel-matched band render, or skipped with its reason
+    (a dust-like set can leave that grid without boundary pixels); only the
+    eigen-equation residuals and (in the transient regime) the limit probe
+    gate ``ok``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -394,17 +384,17 @@ def classify_spectrum(sys: FiberedSystem, depth: int, resolution: int = 256,
     ps = point_spectrum(sys, depth, cap=ROOT_CAP)
     n = largest_level(sys.base, 2048)
     eig = verify_eigenpairs(sys, ps.all_roots(), n, tol=1e-8)
-    sup_dist, coverage = boundary_density(band_grid, list(ps.levels))
-
-    evidence: dict = {
-        "eigenpairs": eig,
-        "boundary_sup_min_dist": sup_dist,
-        "boundary_coverage": coverage,
-        "point_spectrum_capped": ps.capped,
-    }
+    evidence: dict = {"eigenpairs": eig, "point_spectrum_capped": ps.capped}
+    try:
+        sup_dist, coverage = boundary_density(band_grid, list(ps.levels))
+    except ValueError as exc:
+        evidence["boundary_density_skipped"] = str(exc)
+    else:
+        evidence["boundary_sup_min_dist"] = sup_dist
+        evidence["boundary_coverage"] = coverage
     ok = eig.ok
     if claimed == "boundary_of_E":
-        deep_grid = render(sys, DEFAULT_WINDOW, res, render_depth)
+        deep_grid = render(sys, DEFAULT_WINDOW, res)
         trep = transient_limit_check(sys, deep_grid, sample_count=20, r_probe=60,
                                      seed=seed)
         evidence["transient_limits"] = trep

@@ -226,6 +226,21 @@ class TestReport:
         base = parse_base_spec(PRESETS["fig3a"][0])
         assert int(fields["eigen_states"]) == largest_level(base, 2048)
 
+    @pytest.mark.parametrize("preset", ["fig9a", "fig9c"])
+    def test_dust_like_set_skips_boundary_density(self, capsys, preset):
+        # the band render of these sets at 64x64 keeps no boundary pixel
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "report", "--preset", preset, "--depth", "2",
+                               "--resolution", "64")
+        assert code == 0
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert set(fields) == {"base", "probs", "regime", "claimed_spectrum",
+                               "eigen_max_residual", "eigen_states", "boundary_density", "ok"}
+        assert fields["boundary_density"] == "skipped (grid has no boundary pixels)"
+        assert fields["regime"] == "null_recurrent_like"
+        assert fields["ok"] == "true"
+
     def test_needs_a_configuration(self, capsys):
         code, _, err = run(capsys, "report")
         assert code == 2

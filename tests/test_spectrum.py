@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from stochadd.cli import PRESETS
 from stochadd.julia import DEFAULT_WINDOW, FiberedSystem, band_depth, orbit, render, stage_map
@@ -77,6 +78,18 @@ def root_clouds(draw, tol):
     return draw(st.permutations(pts))
 
 
+def all_roots_oracle(ps):
+    """``all_roots`` by its definition: every level's roots, deduplicated."""
+    return _dedup(np.concatenate([level.roots for level in ps.levels]), DEDUP_TOL)
+
+
+def max_gap(src, dst):
+    """Largest distance from a root of ``src`` to the nearest root of ``dst``."""
+    dist, _ = cKDTree(np.column_stack([dst.real, dst.imag])).query(
+        np.column_stack([src.real, src.imag]))
+    return dist.max()
+
+
 def preimages(sysm, r, w):
     """The d_r solutions of f_r(z) = w."""
     return _preimage_array(sysm, r, np.asarray([w], dtype=complex)).reshape(-1)
@@ -132,6 +145,19 @@ class TestPointSpectrum:
         for a, b in zip(ps.levels, ps.levels[1:]):
             for z in a.roots:
                 assert min(abs(z - w) for w in b.roots) < 1e-9
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_levels_nest_and_all_roots_is_their_union(self, preset):
+        # Every f_r fixes 1, so a level-r root is a level-(r+1) root, and the
+        # union of the levels is the deepest level.
+        base_spec, probs_spec = PRESETS[preset]
+        sysm = FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+        ps = point_spectrum(sysm, 3 if base_spec in ("even", "fib") else 5)
+        for a, b in zip(ps.levels, ps.levels[1:]):
+            assert max_gap(a.roots, b.roots) <= DEDUP_TOL
+        got, want = ps.all_roots(), all_roots_oracle(ps)
+        assert got.shape == want.shape
+        assert max(max_gap(got, want), max_gap(want, got)) <= DEDUP_TOL
 
     def test_cap_flags_partial(self):
         ps = point_spectrum(SYS_HALF, 10, cap=8)
