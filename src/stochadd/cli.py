@@ -234,7 +234,7 @@ def _suite_factorization(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     worst = 0.0
     kept = 0
     while kept < 100:
-        lam = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        lam = complex(*rng.uniform(-1, 1, size=2))  # the stream of two scalar draws
         if abs(lam) > 1:
             continue
         r = int(rng.integers(2, 13))

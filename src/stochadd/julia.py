@@ -93,34 +93,53 @@ class MembershipGrid:
 def _pow_int(z, d: int):
     """d-th power of a complex scalar or array by binary exponentiation.
 
-    Scalars and arrays share one op order, but not always the same bits:
-    numpy's SIMD complex multiply may fuse a multiply-add that Python's
-    scalar multiply rounds twice.  ``z`` is never written in place.
+    The powering starts from the lowest set bit of ``d``, so no factor 1 is
+    multiplied in; ``_pow_int(z, 0)`` is 1.  Scalars and arrays share one op
+    order, but not always the same bits: numpy's SIMD complex multiply may fuse
+    a multiply-add that Python's scalar multiply rounds twice.  ``z`` is never
+    written in place.
     """
-    result = complex(1.0)
+    if d == 0:
+        return complex(1.0)
     b = z
     e = d
+    while not e & 1:
+        b = b * b
+        e >>= 1
+    result = b
+    e >>= 1
     while e:
+        b = b * b
         if e & 1:
             result = result * b
         e >>= 1
-        if e:
-            b = b * b
     return result
+
+
+def _rescale(sys: FiberedSystem, r: int, z):
+    """(z - (1-p_r)) / p_r for a complex scalar or array.
+
+    numpy divides a complex array by a real with Smith's formula, which
+    multiplies each part by fl(1 / p_r); an array is multiplied by that factor
+    directly, which differs only in the sign of a zero part and skips the
+    scalar division loop.  Scalars keep their correctly rounded division.
+    """
+    h = z - sys.center(r)
+    return h * (1.0 / sys.p(r)) if isinstance(h, np.ndarray) else h / sys.p(r)
 
 
 def stage_map(sys: FiberedSystem, r: int, z):
     """f_r(z) = ((z - (1-p_r)) / p_r) ** d_r, for a complex scalar or array."""
     if r < 1:
         raise ValueError("stages are 1-based")
-    return _pow_int((z - sys.center(r)) / sys.p(r), sys.d(r))
+    return _pow_int(_rescale(sys, r, z), sys.d(r))
 
 
 def stage_jet(sys: FiberedSystem, r: int, z):
     """(f_r(z), f_r'(z)) for a complex scalar or array; f_r(z) has ``stage_map``'s bits."""
-    d, p = sys.d(r), sys.p(r)
-    h = (z - sys.center(r)) / p
-    return _pow_int(h, d), d * _pow_int(h, d - 1) / p
+    d = sys.d(r)
+    h = _rescale(sys, r, z)
+    return _pow_int(h, d), d * _pow_int(h, d - 1) / sys.p(r)
 
 
 def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False) -> OrbitResult:
@@ -147,7 +166,7 @@ def stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex]:
     out = []
     v = complex(lam)
     for r in range(1, r_max + 1):
-        i = (v - sys.center(r)) / sys.p(r)
+        i = _rescale(sys, r, v)
         out.append(i)
         v = _pow_int(i, sys.d(r))
     return out
@@ -232,10 +251,12 @@ def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
     - ``z - c``: numpy subtracts c + 0j, so the imaginary part is exact and
       |fl(z - c)| <= (1 + u) |z - c| <= (1 + u) (|z| + c).  No underflow term:
       a subtraction that lands below the normal range is exact.
-    - ``/ p``: numpy divides by p + 0j with Smith's formula, which multiplies
-      each part by fl(1 / p): two roundings, |w| <= (1 + u)**2 |x| / p + eta.
-    - ``_pow_int``: the first product is by 1.0, exact; every other complex
-      product has |fl(ab)| <= max((1 + 3u) |a| |b|, 2**-999), since its
+    - ``/ p``: ``_rescale`` multiplies each part of an array by fl(1 / p), as
+      numpy's Smith division by p + 0j would: two roundings,
+      |w| <= (1 + u)**2 |x| / p + eta.
+    - ``_pow_int``: the powering starts from w itself, so every complex
+      product multiplies two computed powers of w and has
+      |fl(ab)| <= max((1 + 3u) |a| |b|, 2**-999), since its
       normwise error is <= sqrt(5) u without FMA and 2u with it, plus at most
       2**-1070 of underflow.  By induction over the binary powering, the
       computed w ** m has modulus <= max((1 + 3u)**(m-1) |w|**m, 2**-999) while
@@ -281,6 +302,12 @@ def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
     return tau
 
 
+# Parameters per slice of the stage loop: each per-stage temporary (a complex
+# slice is 256 KB) stays small enough for the allocator to reuse its memory
+# instead of returning it to the system and faulting it back in.
+_BLOCK = 16_384
+
+
 def _render_band(sys: FiberedSystem, lam_flat: np.ndarray, depth: int,
                  bailout: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """Escape flags and stages of the orbits of ``lam_flat``, leaving at modulus
@@ -293,33 +320,53 @@ def _render_band(sys: FiberedSystem, lam_flat: np.ndarray, depth: int,
     shrunk by margins that cover every rounding of ``stage_map``, of
     ``np.abs`` and of the recursion itself; ``_trap_radii`` gives the proof.
     So flags and stages are those of iterating every parameter through every
-    stage.  Stages without a positive radius skip the compare.
+    stage.  ``lam_flat`` is read, never written.
+    """
+    return _band_kernel(sys, lam_flat, depth, bailout, _trap_radii(sys, depth, bailout))
+
+
+def _band_kernel(sys: FiberedSystem, lam_flat: np.ndarray, depth: int, bailout: float,
+                 tau: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``_render_band`` with the radii ``tau`` already computed.
+
+    The orbit values and the positions of the live parameters are one copy of
+    ``lam_flat`` and one index array, made once.  Each stage runs over the
+    live prefix in slices of ``_BLOCK`` parameters and moves every survivor
+    of a slice to the front of both arrays, in order, so that each parameter
+    sees the same elementwise operations as when the whole prefix is mapped
+    at once.  Stages without a positive radius skip the compare.
     """
     n = lam_flat.size
     escaped = np.zeros(n, dtype=bool)
     stage = np.full(n, depth, dtype=np.int32)
-    tau = _trap_radii(sys, depth, bailout)
-    active = np.arange(n)
-    v = np.asarray(lam_flat, dtype=complex)  # orbit values of the active parameters
+    v = np.array(lam_flat, dtype=complex)  # orbit values; the first ``live`` are in play
+    index = np.arange(n)  # position in lam_flat of each value in v
+    live = n
     with np.errstate(over="ignore", invalid="ignore"):
-        if tau[0] > 0.0:
-            keep = ~(np.abs(v) <= tau[0])
-            active, v = active[keep], v[keep]
-        for r in range(1, depth + 1):
-            if active.size == 0:
+        for r in range(depth + 1):
+            if live == 0:
                 break
-            v = stage_map(sys, r, v)
-            mod = np.abs(v)
-            esc = mod > bailout
-            if esc.any():
-                hit = active[esc]
-                escaped[hit] = True
-                stage[hit] = r
-            gone = esc
-            if r < depth and tau[r] > 0.0:
-                gone = esc | (mod <= tau[r])
-            if gone.any():
-                active, v = active[~gone], v[~gone]
+            trap = tau[r] if r < depth else _NO_TRAP
+            if r == 0 and not trap > 0.0:
+                continue  # stage 0 maps nothing and only traps
+            kept = 0
+            for start in range(0, live, _BLOCK):
+                stop = min(start + _BLOCK, live)
+                w = stage_map(sys, r, v[start:stop]) if r else v[start:stop]
+                mod = np.abs(w)
+                gone = mod > (bailout if r else math.inf)  # nothing escapes at stage 0
+                if gone.any():
+                    hit = index[start:stop][gone]
+                    escaped[hit] = True
+                    stage[hit] = r
+                if trap > 0.0:
+                    gone |= mod <= trap
+                keep = ~gone
+                moved = w[keep]
+                index[kept:kept + moved.size] = index[start:stop][keep]
+                v[kept:kept + moved.size] = moved
+                kept += moved.size
+            live = kept
     return escaped, stage
 
 
@@ -329,7 +376,8 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
 
     The rows are split into ``threads`` bands (one when ``threads < 1``), each
     run through the escape kernel on its own thread; the grid is the same for
-    any thread count.
+    any thread count.  The trapping radii are computed once per call and
+    shared by the bands; each band builds only its own parameters.
     """
     re_min, re_max, im_min, im_max = (float(x) for x in window)
     width, height = (int(x) for x in resolution)
@@ -344,10 +392,12 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
                           np.empty((height, width), dtype=bool),
                           np.empty((height, width), dtype=np.int32))
 
+    tau = _trap_radii(sys, depth, 1.0)
+
     def band(rows):
         # Each band builds and fills only its own rows: no full parameter grid is held.
         lam = grid.center_at(rows[:, None], np.arange(width)).reshape(-1)
-        escaped, stage = _render_band(sys, lam, depth)
+        escaped, stage = _band_kernel(sys, lam, depth, 1.0, tau)
         grid.escaped[rows] = escaped.reshape(-1, width)
         grid.stage[rows] = stage.reshape(-1, width)
 
@@ -393,11 +443,13 @@ def boundary_pixels(grid: MembershipGrid) -> np.ndarray:
 
 def write_pgm(grid: MembershipGrid, path) -> None:
     """Binary PGM: 255 for bounded pixels, else floor(254 * stage / depth)."""
-    shade = np.floor(254.0 * grid.stage / grid.depth).astype(np.uint8)
-    img = np.where(grid.escaped, shade, np.uint8(255)).astype(np.uint8)
+    shade = 254.0 * grid.stage  # one float temporary, rounded in place
+    shade /= grid.depth
+    np.floor(shade, out=shade)
+    img = np.where(grid.escaped, shade.astype(np.uint8), np.uint8(255))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
+        fh.write(img)
 
 
 def write_pbm(grid: MembershipGrid, path) -> None:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochadd import julia
 from stochadd.cli import PRESETS
 from stochadd.julia import (
     DEFAULT_WINDOW,
@@ -49,6 +50,14 @@ class TestStageMap:
     def test_hand_values(self):
         assert stage_map(SYS_HALF, 1, 0.0) == pytest.approx(1.0)
         assert stage_map(SYS_HALF, 1, 2.0) == pytest.approx(9.0)
+
+    def test_pow_int(self):
+        z = np.array([0.3 + 0.4j, -1.1 + 0.2j, 0.0, 1.0])
+        assert julia._pow_int(z, 0) == 1 and julia._pow_int(0.5 + 0.5j, 0) == 1
+        assert julia._pow_int(z, 1) is z
+        for d in (2, 3, 6, 12, 13, 64):
+            assert np.allclose(julia._pow_int(z, d), z ** d, rtol=1e-13, atol=0)
+            assert julia._pow_int(complex(z[0]), d) == pytest.approx(complex(z[0]) ** d, rel=1e-13)
 
 
 class TestOrbit:
@@ -477,7 +486,9 @@ class TestHostRounding:
         c = 1.0 - p
         x = z - c
         assert np.array_equal(x.imag, z.imag)
-        w = x / p
+        w = julia._rescale(FiberedSystem(BaseSeq("const", (2,)), ProbSeq("const", (p,))), 1, z)
+        assert np.array_equal(w, x * (1.0 / p))
+        assert np.array_equal(w, x / p)  # numpy's Smith division, up to the sign of a zero
         bound = (1 + Fraction(U)) ** 2
         for xk, wk in zip(np.concatenate([x.real, x.imag]).tolist(),
                           np.concatenate([w.real, w.imag]).tolist()):
@@ -560,3 +571,52 @@ class TestTrappedKernel:
                               rng.uniform(-1, 1, (500, 2)).view(complex)[:, 0]])
         for sysm in (SYS_DISK, SYS_HALF, PRESET_SYSTEMS["fig3a"]):
             assert_matches_oracle(sysm, lam, 40, bailout=0.5)
+
+
+class TestBlockedKernel:
+    """The stage loop runs over slices of ``julia._BLOCK`` parameters and
+    compacts the survivors in place; grids that span several slices must
+    still match the untrapped oracle."""
+
+    # 300 x 130 is two full slices and a ragged third, with slice boundaries
+    # mid-row; a 40 000-wide row spans three slices on its own
+    @pytest.mark.parametrize("name, window, resolution", [
+        ("fig3a", DEFAULT_WINDOW, (300, 130)),
+        ("fig8a", DEFAULT_WINDOW, (300, 130)),
+        ("fig10c", DEFAULT_WINDOW, (300, 130)),
+        ("fig3a", (-1.6, 1.6, -0.1, 0.1), (40_000, 2)),
+    ])
+    @pytest.mark.parametrize("threads", [0, 1, 2, 3, 7])
+    def test_render_across_blocks(self, name, window, resolution, threads):
+        width, height = resolution
+        assert width * height > 2 * julia._BLOCK and (width * height) % julia._BLOCK
+        assert julia._BLOCK % width or width > julia._BLOCK
+        sysm = PRESET_SYSTEMS[name]
+        grid = render(sysm, window, resolution, 200, threads=threads)
+        lam = grid.center_at(*np.indices(grid.escaped.shape)).reshape(-1)
+        esc, stage = untrapped_band(sysm, lam, 200)
+        assert 0 < esc.sum() < esc.size
+        assert np.array_equal(grid.escaped.reshape(-1), esc)
+        assert np.array_equal(grid.stage.reshape(-1), stage)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("name", ["fig3a", "fig6a", "fig8b", "fig10a"])
+    def test_small_blocks(self, monkeypatch, block, name):
+        monkeypatch.setattr(julia, "_BLOCK", block)
+        sysm = PRESET_SYSTEMS[name]
+        lam = probe_parameters(sysm, 200, np.random.default_rng(11))
+        assert_matches_oracle(sysm, lam, 200)
+        assert_matches_oracle(sysm, lam, 60, bailout=1e6)
+
+    def test_input_is_left_unchanged(self):
+        sysm = PRESET_SYSTEMS["fig3a"]
+        rng = np.random.default_rng(12)
+        lam = rng.uniform(-1.6, 1.6, (3 * julia._BLOCK + 5, 2)).view(complex)[:, 0]
+        before = lam.copy()
+        lam.setflags(write=False)
+        esc = assert_matches_oracle(sysm, lam, 200)
+        assert 0 < esc.sum() < esc.size
+        assert lam.tobytes() == before.tobytes()
+        writable = before.copy()
+        _render_band(sysm, writable, 200)
+        assert writable.tobytes() == before.tobytes()
