@@ -143,7 +143,8 @@ def stage_jet(sys: FiberedSystem, r: int, z):
 
 
 def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False) -> OrbitResult:
-    """Composed orbit of lam, stopping at the first stage with modulus > 1.
+    """Composed orbit of lam, stopping at the first stage whose modulus is not
+    <= 1: above 1, or NaN once a power has overflowed.
 
     An escape certifies divergence; a bounded result only says "bounded up to
     r_max".
@@ -156,7 +157,7 @@ def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False
         v = stage_map(sys, r, v)
         if trace is not None:
             trace.append(v)
-        if abs(v) > 1.0:
+        if not abs(v) <= 1.0:  # a NaN modulus escapes too
             return OrbitResult(True, r, v, tuple(trace) if trace is not None else None)
     return OrbitResult(False, r_max, v, tuple(trace) if trace is not None else None)
 
@@ -310,8 +311,9 @@ _BLOCK = 16_384
 
 def _render_band(sys: FiberedSystem, lam_flat: np.ndarray, depth: int,
                  bailout: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Escape flags and stages of the orbits of ``lam_flat``, leaving at modulus
-    > ``bailout``.  Values may overflow once past the unit disk; that is ignored.
+    """Escape flags and stages of the orbits of ``lam_flat``, leaving once the
+    modulus is not <= ``bailout``: above it, or NaN, which a power of large
+    degree can give once it overflows (inf * inf - inf * inf).
 
     A parameter whose modulus after stage r is <= tau_r (r = 0 tests the
     parameter itself) provably never escapes through ``depth``, so it leaves
@@ -354,7 +356,8 @@ def _band_kernel(sys: FiberedSystem, lam_flat: np.ndarray, depth: int, bailout: 
                 stop = min(start + _BLOCK, live)
                 w = stage_map(sys, r, v[start:stop]) if r else v[start:stop]
                 mod = np.abs(w)
-                gone = mod > (bailout if r else math.inf)  # nothing escapes at stage 0
+                # Nothing escapes at stage 0; later a NaN modulus escapes too.
+                gone = ~(mod <= bailout) if r else np.zeros(mod.size, dtype=bool)
                 if gone.any():
                     hit = index[start:stop][gone]
                     escaped[hit] = True
@@ -413,9 +416,12 @@ def band_depth(resolution) -> int:
 
     When the bounded set has empty interior, the depth-R survivor set shrinks
     onto it as R grows and eventually falls below pixel width, emptying the
-    detected boundary.  Scaling the depth with log2 of the resolution keeps
-    the survivor band roughly a pixel wide.  Membership certification should
-    still use deep probes; this is only for locating the boundary.
+    detected boundary.  Scaling the depth with log2 of the resolution aims to
+    keep a survivor band about a pixel wide, but nothing guarantees one: for
+    the dust-like presets fig9a and fig9c no pixel survives at 64², 256² or
+    512², and ``stochadd report`` then prints ``boundary_density=skipped``.
+    Membership certification should still use deep probes; this is only for
+    locating the boundary.
     """
     width, height = (int(x) for x in resolution)
     return max(8, round(1.5 * math.log2(min(width, height))))

@@ -5,11 +5,15 @@ From state n the machine tries to add 1 digit-by-digit.  With probability
 completes (state n+1); halting after stage s instead lands on the truncation
 of n (first s maximal digits zeroed) with probability (1 - p_{s+1}) *
 prod_{r<=s} p_r.  Rows of the induced infinite matrix are therefore sparse:
-at most s_n + 1 entries.
+at most s_n + 1 entries, and they depend on n only through s_n: one row of
+offsets and probabilities per counter (``_row_table``) gives every row, for
+the matrix build and for simulation alike.
 
-Finite truncations keep only in-range targets; rows that lost an entry are
-flagged clipped rather than renormalized, so an unclipped row of the
-truncation is exactly the corresponding row of the infinite matrix.
+A halt lands on n - (prod_{i<=s} d_i - 1) >= 0, so the truncation to states
+0..N-1 loses exactly one entry, the N of row N-1.  That row is flagged
+clipped rather than renormalized, so every other row of the truncation is
+exactly the corresponding row of the infinite matrix.  The renormalization
+check reads the residue classes mod d_r of the states as strided slices.
 """
 
 from __future__ import annotations
@@ -117,71 +121,60 @@ def transition_row(n: int, base: BaseSeq, probs: ProbSeq) -> TransitionRow:
 
 
 def _row_table(base: BaseSeq, probs: ProbSeq,
-               depth: int) -> tuple[list[float], list[tuple[int, int, float]], float]:
-    """The closed form of every row with counter s_n <= ``depth``.
+               depth: int) -> list[tuple[list[int], list[float]]]:
+    """The row of every counter s = 1..``depth``, at index s - 1.
 
-    Returns ``prefix`` (prefix[s] = prod_{r<=s} p_r, the probability of n+1
-    from a row with counter s), the halts ``(s, drop, q)`` with q > 0 in
-    ascending s (a row with counter s_n halts at each s < s_n, landing on
-    n - drop with drop = prod_{i<=s} d_i - 1), and the stay probability
-    1 - p_1 (0.0 when p_1 = 1).  The products run in the same order as in
+    A row depends on its state n only through the counter s_n, so it is one
+    (offsets, probabilities) pair, in CSR order: the halts at s < s_n deepest
+    first (n - drop with drop = prod_{i<=s} d_i - 1, probability
+    (1 - p_{s+1}) prod_{r<=s} p_r, omitted when 0), then the stay n
+    (probability 1 - p_1, omitted when p_1 = 1), then n+1 (probability
+    prod_{r<=s_n} p_r).  The products run in the same order as in
     ``transition_row``, so every probability has the same bits.
     """
-    prefix = [1.0]
-    for r in range(1, depth + 1):
-        prefix.append(prefix[-1] * probs.at(r))
-    halts = []
-    place = 1
-    for s in range(1, depth):
+    stay = [(0, 1.0 - probs.at(1))] if probs.at(1) < 1.0 else []
+    halts: list[tuple[int, float]] = []  # ascending s
+    table = []
+    prefix, place = 1.0, 1
+    for s in range(1, depth + 1):
+        prefix *= probs.at(s)
+        row = halts[::-1] + stay + [(1, prefix)]
+        table.append(([o for o, _ in row], [q for _, q in row]))
         place *= base.at(s)
-        q = (1.0 - probs.at(s + 1)) * prefix[s]
+        q = (1.0 - probs.at(s + 1)) * prefix
         if q > 0.0:
-            halts.append((s, place - 1, q))
-    return prefix, halts, 1.0 - probs.at(1)
+            halts.append((1 - place, q))
+    return table
 
 
 def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransitionMatrix:
     """Truncation to states 0..n_states-1 (targets past the edge dropped).
 
-    The CSR arrays come straight from the row table of every counter at once;
-    row for row they equal ``transition_row`` cut below ``n_states``.
+    Row n is its counter's row from ``_row_table`` moved to n, so row for row
+    the CSR arrays equal ``transition_row`` cut below ``n_states``.
     """
     if n_states < 2:
         raise ValueError("need at least 2 states")
-    states = np.arange(n_states, dtype=np.int64)
-    s_n = 1 + _leading_run(n_states, base, maximal=True)[0]
-    prefix, halts, stay = _row_table(base, probs, int(s_n.max()))
-    stays = stay > 0.0
-
-    # Row n holds its halts s < s_n deepest first, then the stay n, then n+1.
-    n_halts = np.searchsorted(np.array([s for s, _, _ in halts], dtype=np.int64), s_n)
-    counts = n_halts + stays + 1
+    # Row n is table[s_n - 1], s_n - 1 being the run of maximal leading digits.
+    run = _leading_run(n_states, base, maximal=True)[0]
+    table = _row_table(base, probs, int(run.max()) + 1)
+    lengths = np.array([len(row) for row, _ in table])
+    offsets = np.array([o for row, _ in table for o in row], dtype=np.int64)
+    weights = np.array([q for _, row in table for q in row])
+    counts = lengths[run]
     indptr = np.zeros(n_states + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    data = np.empty(indptr[-1])
-    first = indptr[:-1]
-    for j, (s, drop, q) in enumerate(halts):
-        rows = np.flatnonzero(s_n > s)
-        at = first[rows] + n_halts[rows] - 1 - j
-        indices[at] = rows - drop
-        data[at] = q
-    at = first + n_halts
-    if stays:
-        indices[at] = states
-        data[at] = stay
-        at = at + 1
-    indices[at] = states + 1
-    data[at] = np.array(prefix)[s_n]
+    # Entry j of row n is entry j - indptr[n] of its counter's row.
+    at = np.arange(indptr[-1]) + np.repeat(np.cumsum(lengths)[run] - counts - indptr[:-1], counts)
+    indices = np.repeat(np.arange(n_states, dtype=np.int64), counts) + offsets[at]
+    data = weights[at]
 
-    kept = indices < n_states
-    lost = np.bincount(np.repeat(states, counts)[~kept], minlength=n_states)
-    np.cumsum(counts - lost, out=indptr[1:])
-    csr = sp.csr_matrix((data[kept], indices[kept], indptr), shape=(n_states, n_states))
+    # A halt lands on n - drop >= 0, so only the last row's n+1 leaves the truncation.
+    indptr[-1] -= 1
+    csr = sp.csr_matrix((data[:-1], indices[:-1], indptr), shape=(n_states, n_states))
     for arr in (csr.data, csr.indices, csr.indptr):
         arr.setflags(write=False)
-    clipped = frozenset(np.flatnonzero(lost).tolist())
-    return SparseTransitionMatrix(n_states, csr, base, probs, clipped)
+    return SparseTransitionMatrix(n_states, csr, base, probs, frozenset({n_states - 1}))
 
 
 def _leading_run(n: int, base: BaseSeq, maximal: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -228,15 +221,14 @@ def stochasticity_deviation(mat: SparseTransitionMatrix) -> tuple[float, float]:
 def simulate(base: BaseSeq, probs: ProbSeq, start: int, steps: int, seed: int) -> Trajectory:
     """Sample a Markov path of the adding machine; reproducible per seed.
 
-    A row depends on its state n only through the counter s_n, so the path
-    reads one (offsets, cumulative sums) pair per counter from the row table
-    and moves n by the offset that the draw picks.
+    The path reads the row of each state's counter from ``_row_table``, as
+    (offsets, cumulative sums), and moves n by the offset that the draw picks.
     """
     if start < 0 or steps < 0:
         raise ValueError("start and steps must be >= 0")
     # One block of uniforms is the same PCG64 stream as one draw per step.
     draws = np.random.default_rng(seed).random(steps).tolist()
-    table: dict[int, tuple[list[int], list[float]]] = {}
+    table: list[tuple[list[int], list[float]]] = []
     state = start
     states = [start]
     for u in draws:
@@ -248,18 +240,12 @@ def simulate(base: BaseSeq, probs: ProbSeq, start: int, steps: int, seed: int) -
             if a != d - 1:
                 break
             s += 1
-        hit = table.get(s)
-        if hit is None:
-            prefix, halts, stay = _row_table(base, probs, s)
-            moves = [(-drop, q) for _, drop, q in reversed(halts)]
-            if stay > 0.0:
-                moves.append((0, stay))
-            moves.append((1, prefix[s]))
+        if s > len(table):
             # The last offset repeats: a draw at or past a rounded-down final
             # cumulative sum lands on it.
-            offsets = [o for o, _ in moves] + [1]
-            table[s] = hit = (offsets, list(itertools.accumulate(q for _, q in moves)))
-        offsets, cum = hit
+            table = [(offsets + offsets[-1:], list(itertools.accumulate(row)))
+                     for offsets, row in _row_table(base, probs, s)]
+        offsets, cum = table[s - 1]
         state += offsets[bisect.bisect_right(cum, u)]
         states.append(state)
     return Trajectory(tuple(states), seed, steps)
@@ -280,26 +266,6 @@ def classify_chain(probs: ProbSeq) -> str:
     if probs.kind == "list":
         return RECURRENT if probs.tail < 1.0 else TRANSIENT
     return TRANSIENT
-
-
-def projection_matrix(k: int, r: int, n_rows: int, n_cols: int, base: BaseSeq) -> sp.csr_matrix:
-    """0/1 matrix placing coarse coordinate m at fine state k + m*d_r.
-
-    Each column has exactly one entry; rows not congruent to k mod d_r are
-    empty.
-    """
-    d = base.at(r)
-    if not 0 <= k <= d - 1:
-        raise ValueError(f"k must be in [0, {d - 1}]")
-    rows, cols = [], []
-    for m in range(n_cols):
-        l = k + m * d
-        if l >= n_rows:
-            break
-        rows.append(l)
-        cols.append(m)
-    data = np.ones(len(rows))
-    return sp.csr_matrix((data, (rows, cols)), shape=(n_rows, n_cols))
 
 
 @dataclass(frozen=True)
@@ -345,22 +311,22 @@ def renorm_check(r: int, n2: int, base: BaseSeq, probs: ProbSeq) -> RenormReport
     p_r = probs.at(r)
     renorm = (s_fine - (1.0 - p_r) * np.eye(n1)) / p_r
 
-    embeds = [projection_matrix(k, r, n1, n2, base).toarray() for k in range(d1)]
-    restricts = [e.T for e in embeds]
-
+    # Residue class k of the fine states is the slice [k::d1]; n1 = d1 * n2.
     lhs = np.linalg.matrix_power(renorm, d1)
     rhs = np.zeros_like(lhs)
     for k in range(d1):
-        rhs += embeds[k] @ s_coarse @ restricts[k]
+        rhs[k::d1, k::d1] = s_coarse
     part2 = float(np.abs(lhs[:win, :win] - rhs[:win, :win]).max())
 
+    # The columns of class k (k = 1..d1, class d1 being class 0) are the
+    # class-(k-1) embedding, of the identity or, for class 0, of S_{r+1}.
     colwin = max(1, win // d1)
     part1 = 0.0
-    for k in range(1, d1):
-        diff = renorm @ embeds[k] - embeds[k - 1]
-        part1 = max(part1, float(np.abs(diff[:win, :colwin]).max()))
-    wrap = renorm @ embeds[0] - embeds[d1 - 1] @ s_coarse
-    part1 = max(part1, float(np.abs(wrap[:win, :colwin]).max()))
+    for k in range(1, d1 + 1):
+        want = np.zeros((n1, n2))
+        want[k - 1::d1] = s_coarse if k == d1 else np.eye(n2)
+        diff = renorm[:win, k % d1::d1][:, :colwin] - want[:win, :colwin]
+        part1 = max(part1, float(np.abs(diff).max()))
 
     return RenormReport(r, n1, n2, margin, part1, part2)
 

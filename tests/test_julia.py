@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -93,10 +95,24 @@ class TestOrbit:
             loose = False
             for r in range(1, 201):
                 v = stage_map(SYS_HALF, r, v)
-                if abs(v) > 1e6:
+                if not abs(v) <= 1e6:
                     loose = True
                     break
             assert tight == loose
+
+
+    def test_nan_stage_escapes(self):
+        # At d = 17 711 the power of a rescaled value of modulus 1.5 overflows
+        # to inf * inf - inf * inf: the stage value is nan+nanj, whose modulus
+        # compares False with the bailout either way.
+        sysm = FiberedSystem(parse_base_spec("list:17711;tail=2"), parse_probs_spec("pconst:0.55"))
+        lam = 0.45 + 0.55 * 1.5 * cmath.exp(1j * math.pi / 4)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert cmath.isnan(stage_map(sysm, 1, lam))
+        res = orbit(sysm, lam, 3)
+        assert (res.escaped, res.stage) == (True, 1)
+        escaped, stage = _render_band(sysm, np.array([lam]), 3)
+        assert (escaped.tolist(), stage.tolist()) == ([True], [1])
 
 
 class TestStageValues:
@@ -375,7 +391,7 @@ def untrapped_band(sysm, lam_flat, depth, bailout=1.0):
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, depth + 1):
             v = stage_map(sysm, r, v)
-            esc = np.abs(v) > bailout
+            esc = ~(np.abs(v) <= bailout)  # a NaN modulus escapes too
             if esc.any():
                 hit = active[esc]
                 escaped[hit] = True

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochadd import machine
 from stochadd.machine import (
     RECURRENT,
     TRANSIENT,
     build_matrix,
     classify_chain,
     column_sum_report,
-    projection_matrix,
     renorm_check,
     simulate,
     stochasticity_deviation,
@@ -334,22 +334,6 @@ class TestClassify:
         assert classify_chain(underflow) == TRANSIENT
 
 
-class TestProjection:
-    def test_stride_entries(self):
-        pi0 = projection_matrix(0, 1, 9, 3, B3).toarray()
-        assert [(l, m) for l, m in zip(*np.nonzero(pi0))] == [(0, 0), (3, 1), (6, 2)]
-        pi2 = projection_matrix(2, 1, 9, 3, B3).toarray()
-        assert [(l, m) for l, m in zip(*np.nonzero(pi2))] == [(2, 0), (5, 1), (8, 2)]
-
-    def test_each_column_single_entry(self):
-        pi = projection_matrix(1, 1, 20, 6, B3).toarray()
-        assert (pi.sum(axis=0) == 1).all()
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            projection_matrix(3, 1, 9, 3, B3)
-
-
 class TestRenorm:
     def test_binary_half(self):
         rep = renorm_check(1, 16, B2, P_HALF)
@@ -368,6 +352,28 @@ class TestRenorm:
     def test_interior_window_empty(self):
         with pytest.raises(ValueError):
             renorm_check(1, 2, B3, P_HALF)
+
+    @pytest.mark.parametrize("r, n2, base, probs", [
+        (1, 16, B2, P_HALF),
+        (1, 9, B3, P_ONE),
+        (2, 10, BaseSeq("periodic", (3, 5)), ProbSeq("list", (0.4, 0.8), 0.7)),
+    ])
+    def test_perturbed_coarse_row_fails(self, r, n2, base, probs, monkeypatch):
+        # Moving 0.5 onto the n+1 entry of one interior row of the coarse
+        # (n2-state) matrix must show in the report.
+        build = machine.build_matrix
+
+        def perturbed(n_states, base, probs):
+            mat = build(n_states, base, probs)
+            if n_states != n2:
+                return mat
+            bad = mat.to_csr().copy()
+            bad.data[bad.indptr[n2 // 2 + 1] - 1] += 0.5
+            return dataclasses.replace(mat, csr=bad)
+
+        assert renorm_check(r, n2, base, probs).max_diff() < 1e-12
+        monkeypatch.setattr(machine, "build_matrix", perturbed)
+        assert renorm_check(r, n2, base, probs).max_diff() >= 0.1
 
     def test_random_config_sweep(self):
         rng = np.random.default_rng(77)
