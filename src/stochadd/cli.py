@@ -59,6 +59,7 @@ PRESETS = {
 VERIFY_DEFAULT_PRESETS = ("fig3a", "fig4a", "fig6a", "fig8a", "fig10a")
 VERIFY_SUITES = ("stochasticity", "renorm", "eigenpairs", "escape", "witness",
                  "factorization", "transient", "all")
+BASE_HELP = "base spec, e.g. const:3, periodic:3,5, list:2,3,4;tail=4, even, fib"
 
 
 class UsageError(Exception):
@@ -70,11 +71,10 @@ def _fmt(x: float) -> str:
 
 
 def _resolve_config(args) -> tuple[str, str]:
-    preset = getattr(args, "preset", None)
-    if preset:
-        if preset not in PRESETS:
-            raise UsageError(f"unknown preset {preset!r}")
-        return PRESETS[preset]
+    if args.preset:
+        if args.preset not in PRESETS:
+            raise UsageError(f"unknown preset {args.preset!r}")
+        return PRESETS[args.preset]
     if args.base is None or args.probs is None:
         raise UsageError("need --base and --probs (or --preset)")
     return args.base, args.probs
@@ -343,45 +343,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "matrices, escape-time sets, spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--base", help="base spec, e.g. const:3, periodic:3,5, "
-                                       "list:2,3,4;tail=4, even, fib")
-    common.add_argument("--probs", help="probability spec, e.g. pconst:0.7, "
+    # Each subcommand takes only the shared options that it reads.
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--base", help=BASE_HELP)
+    config.add_argument("--probs", help="probability spec, e.g. pconst:0.7, "
                                         "plist:0.7,1;tail=0.55, pgeo:c=0.25,gamma=0.5")
-    common.add_argument("--preset", help="named configuration (fig3a..fig10c)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--threads", type=int, default=os.cpu_count() or 1)
-    common.add_argument("--out", help="output path (or prefix for render)")
+    config.add_argument("--preset", help="named configuration (fig3a..fig10c)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output path")
 
-    p = sub.add_parser("digits", parents=[common], help="digit expansion of an integer")
+    p = sub.add_parser("digits", help="digit expansion of an integer")
     p.add_argument("n", type=int)
+    p.add_argument("--base", required=True, help=BASE_HELP)
     p.set_defaults(func=cmd_digits)
 
-    p = sub.add_parser("matrix", parents=[common], help="truncated transition matrix")
+    p = sub.add_parser("matrix", parents=[config, out], help="truncated transition matrix")
     p.add_argument("--n", type=int, required=True, help="number of states")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser("render", parents=[common], help="escape-time membership grid")
+    p = sub.add_parser("render", parents=[config], help="escape-time membership grid")
+    p.add_argument("--out", required=True, help="output prefix (.pgm, .pbm, .meta)")
+    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--window", default=",".join(str(x) for x in DEFAULT_WINDOW))
     p.add_argument("--res", default="512x512")
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("roots", parents=[common], help="point-spectrum roots CSV")
+    p = sub.add_parser("roots", parents=[config, out], help="point-spectrum roots CSV")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--cap", type=int, default=spectrum.ROOT_CAP)
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("verify", parents=[common], help="run verification suites")
+    p = sub.add_parser("verify", parents=[config, seed, out], help="run verification suites")
     p.add_argument("--suite", required=True, choices=VERIFY_SUITES)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("simulate", parents=[common], help="sample a trajectory")
+    p = sub.add_parser("simulate", parents=[config, seed, out], help="sample a trajectory")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--steps", type=int, required=True)
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[config, seed],
                        help="spectrum regime and its numerical evidence")
     p.add_argument("--depth", type=int, default=4, help="root enumeration depth")
     p.add_argument("--resolution", type=int, default=256,
@@ -394,10 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "render" and not args.out:
-        parser.error("render requires --out")
-    if args.command == "digits" and not args.base:
-        parser.error("digits requires --base")
     try:
         return args.func(args)
     except (SpecError, UsageError) as exc:

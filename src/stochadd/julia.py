@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeration import BaseSeq, ProbSeq, digits_matrix
+from .numeration import BaseSeq, ProbSeq, levels
 
 DEFAULT_DEPTH = 200
 DEFAULT_WINDOW = (-1.6, 1.6, -1.6, 1.6)
@@ -173,20 +173,6 @@ def stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex]:
     return out
 
 
-def _digit_power_product(sys: FiberedSystem, stage_vals: list[complex], digits: np.ndarray) -> np.ndarray:
-    """prod_r stage_vals[r] ** digit_r per row of ``digits``, with 0**0 = 1."""
-    n = digits.shape[0]
-    out = np.ones(n, dtype=complex)
-    for r in range(1, digits.shape[1] + 1):
-        i = stage_vals[r - 1]
-        table = np.empty(sys.d(r), dtype=complex)
-        table[0] = 1.0 + 0.0j
-        for e in range(1, sys.d(r)):
-            table[e] = table[e - 1] * i
-        out *= table[digits[:, r - 1]]
-    return out
-
-
 def eigvec(sys: FiberedSystem, lam: complex, n: int) -> np.ndarray:
     """Candidate eigenvector: entry m is the product of stage values raised to
     the digits of m.  Zero stage values contribute 1 at digit 0."""
@@ -194,13 +180,26 @@ def eigvec(sys: FiberedSystem, lam: complex, n: int) -> np.ndarray:
 
 
 def witness(sys: FiberedSystem, lam: complex, t: int, n: int) -> np.ndarray:
-    """Depth-t truncated eigen-witness: only the first t digit positions count."""
+    """Depth-t truncated eigen-witness: entry m is prod_{r<=t} v_r ** a_r(m)
+    over the stage values v_r and the digits a_r(m) of m, with 0**0 = 1.
+
+    Built one level block at a time: the block of states below q_r is d_r
+    copies of the block below q_{r-1}, copy a times v_r ** a, so each product
+    still runs in digit order.  Blocks are cut at n; past stage t the entries
+    repeat with period q_t.
+    """
     if t < 1 or n < 1:
         raise ValueError("t and n must be >= 1")
-    digits = digits_matrix(sys.base, n)
-    cut = min(t, digits.shape[1])
-    vals = stage_values(sys, lam, cut) if cut else []
-    return _digit_power_product(sys, vals, digits[:, :cut])
+    cut = min(t, len(levels(sys.base, n - 1)) + 1)
+    out = np.ones(1, dtype=complex)
+    for r, i in enumerate(stage_values(sys, lam, cut), start=1):
+        # Below n, digit r stays under n / q_{r-1}: a block is at most 2n long.
+        table = np.empty(min(sys.d(r), -(-n // out.size)), dtype=complex)
+        table[0] = 1.0 + 0.0j
+        for e in range(1, table.size):
+            table[e] = table[e - 1] * i
+        out = (out[None, :] * table[:, None]).reshape(-1)[:n]
+    return np.tile(out, -(-n // out.size))[:n]
 
 
 def factorization_check(sys: FiberedSystem, lam: complex, r: int, k: int) -> float:

@@ -9,7 +9,13 @@ at most s_n + 1 entries, and they depend on n only through s_n: one row of
 offsets and probabilities per counter (``_row_table``) gives every row, for
 the matrix build and for simulation alike.
 
-A halt lands on n - (prod_{i<=s} d_i - 1) >= 0, so the truncation to states
+Both the counter and the truncations are divisibility by the levels
+q_s = prod_{i<=s} d_i (``numeration.levels``): the first s digits of n are all
+maximal exactly when q_s divides n + 1, so s_n - 1 is the number of levels
+dividing n + 1, and the first s digits of m are all zero exactly when q_s
+divides m.  Over states 0..N-1 each level is a strided slice.
+
+A halt lands on n - (q_s - 1) >= 0, so the truncation to states
 0..N-1 loses exactly one entry, the N of row N-1.  That row is flagged
 clipped rather than renormalized, so every other row of the truncation is
 exactly the corresponding row of the infinite matrix.  The renormalization
@@ -32,8 +38,8 @@ from .numeration import (
     BaseSeq,
     ProbSeq,
     counter,
-    digits_matrix,
     from_digits,
+    levels,
     to_digits,
     truncate_digits,
 )
@@ -155,8 +161,10 @@ def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransiti
     """
     if n_states < 2:
         raise ValueError("need at least 2 states")
-    # Row n is table[s_n - 1], s_n - 1 being the run of maximal leading digits.
-    run = _leading_run(n_states, base, maximal=True)[0]
+    # Row n is table[s_n - 1], s_n - 1 being the number of levels dividing n + 1.
+    run = np.zeros(n_states, dtype=np.intp)
+    for q in levels(base, n_states):
+        run[q - 1::q] += 1
     table = _row_table(base, probs, int(run.max()) + 1)
     lengths = np.array([len(row) for row, _ in table])
     offsets = np.array([o for row, _ in table for o in row], dtype=np.int64)
@@ -177,18 +185,6 @@ def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransiti
     return SparseTransitionMatrix(n_states, csr, base, probs, frozenset({n_states - 1}))
 
 
-def _leading_run(n: int, base: BaseSeq, maximal: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Length z of the leading run of maximal (or of zero) digits of every
-    state 0..n-1, and its place value prod_{i<=z} d_i; state 0 has an empty run."""
-    digits = digits_matrix(base, n)
-    d = np.array([base.at(r) for r in range(1, digits.shape[1] + 1)], dtype=np.int64)
-    run = np.logical_and.accumulate(digits == (d - 1 if maximal else 0), axis=1)
-    run[:1] = False  # state 0, all digits zero, has an empty run
-    length = run.sum(axis=1)
-    # A run's place value is at most n, so these products stay in int64.
-    return length, np.concatenate(([1], np.cumprod(d[:length.max()])))[length]
-
-
 def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, bool]]:
     """Per-column (index, in-truncation sum, complete) triples.
 
@@ -201,7 +197,11 @@ def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, boo
     # bincount adds in CSR (row-major) order, like a loop over the rows.
     sums = np.bincount(csr.indices, weights=csr.data, minlength=mat.dim)
     cols = np.arange(mat.dim, dtype=np.int64)
-    zero_place = _leading_run(mat.dim, mat.base, maximal=False)[1]
+    # zero_place[m] is the largest level dividing m (1 if none): the place
+    # value of the run of zero leading digits of m.
+    zero_place = np.ones(mat.dim, dtype=np.int64)
+    for q in levels(mat.base, mat.dim - 1):
+        zero_place[::q] = q
     complete = (cols > 0) & (cols + zero_place - 1 < mat.dim)
     return list(zip(range(mat.dim), sums.tolist(), complete.tolist()))
 
@@ -229,16 +229,16 @@ def simulate(base: BaseSeq, probs: ProbSeq, start: int, steps: int, seed: int) -
     # One block of uniforms is the same PCG64 stream as one draw per step.
     draws = np.random.default_rng(seed).random(steps).tolist()
     table: list[tuple[list[int], list[float]]] = []
+    # Every state + 1 is at most start + steps + 1, so that plus one divides
+    # none of them and ends the counter loop.
+    q = levels(base, start + steps + 1) + [start + steps + 2]
     state = start
     states = [start]
     for u in draws:
         if state > INT64_MAX:
             raise OverflowError("n exceeds int64")
-        s, rem = 1, state
-        while True:
-            rem, a = divmod(rem, d := base.at(s))
-            if a != d - 1:
-                break
+        s = 1  # s_n - 1 is the number of levels dividing n + 1
+        while (state + 1) % q[s - 1] == 0:
             s += 1
         if s > len(table):
             # The last offset repeats: a draw at or past a rounded-down final

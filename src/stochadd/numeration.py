@@ -1,22 +1,21 @@
 """Mixed-radix (Cantor) numeration: base/probability sequences and digit arithmetic.
 
 A base sequence d_1, d_2, ... with every d_r >= 2 assigns digit position r the
-range {0, ..., d_r - 1} and the place value prod_{i<r} d_i.  Non-negative
+range {0, ..., d_r - 1} and the place value q_{r-1}, where the levels
+q_s = prod_{i<=s} d_i are computed in one place, ``levels``.  Non-negative
 integers are represented canonically (no trailing zeros), so equal integers
 have structurally equal digit vectors.
 
-All sequence objects are frozen dataclasses; every operation here is pure.
-Integers are kept within signed 64-bit range and overflow raises instead of
-wrapping, so cumulative products stay usable as array indices downstream.
+This module is pure integer arithmetic on Python ints: every sequence object
+is a frozen dataclass and every operation is pure.  Integers are kept within
+signed 64-bit range and overflow raises instead of wrapping, so cumulative
+products stay usable as array indices downstream.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
-
-import numpy as np
 
 INT64_MAX = (1 << 63) - 1
 
@@ -217,15 +216,24 @@ def base_product(base: BaseSeq, r: int) -> int:
     return acc
 
 
-def largest_level(base: BaseSeq, cap: int) -> int:
-    """Largest cumulative base product prod_{i<=r} d_i (r >= 1) that is <= cap;
-    2 when even d_1 exceeds cap.  Truncating at such a level keeps whole blocks
-    of the first r digit positions."""
-    level, r = 1, 1
-    while level * base.at(r) <= cap:
-        level *= base.at(r)
+def levels(base: BaseSeq, n: int) -> list[int]:
+    """The levels q_s = prod_{i<=s} d_i, s >= 1, that are <= n, ascending.
+
+    The first s digits of m are all zero exactly when q_s divides m, and all
+    maximal exactly when q_s divides m + 1."""
+    out, r, q = [], 1, base.at(1)
+    while q <= n:
+        out.append(q)
         r += 1
-    return max(level, 2)
+        q *= base.at(r)
+    return out
+
+
+def largest_level(base: BaseSeq, cap: int) -> int:
+    """Largest level q_s (s >= 1) that is <= cap; 2 when even d_1 exceeds cap.
+    Truncating at such a level keeps whole blocks of the first s digit
+    positions."""
+    return max(levels(base, cap), default=2)
 
 
 def to_digits(n: int, base: BaseSeq) -> DigitVec:
@@ -241,23 +249,6 @@ def to_digits(n: int, base: BaseSeq) -> DigitVec:
         digits.append(a)
         r += 1
     return DigitVec(tuple(digits), base)
-
-
-@functools.lru_cache(maxsize=64)
-def digits_matrix(base: BaseSeq, n: int) -> np.ndarray:
-    """Digit expansions of 0..n-1 as a read-only (n, L) array, zero-padded on
-    the right, L the length of the expansion of n - 1; column-major, of the
-    smallest unsigned type that holds every digit (each is below d_r and n)."""
-    places = [1]  # places[r] = prod_{i<=r} d_i; the last one is the first >= n
-    while places[-1] < n:
-        places.append(places[-1] * base.at(len(places)))
-    top = min(n, max((base.at(r) for r in range(1, len(places))), default=1)) - 1
-    out = np.zeros((n, len(places) - 1), dtype=np.min_scalar_type(top), order="F")
-    q = np.arange(n, dtype=np.int64)
-    for r in range(1, len(places)):
-        q, out[:, r - 1] = np.divmod(q, base.at(r))
-    out.setflags(write=False)
-    return out
 
 
 def from_digits(dv: DigitVec) -> int:

@@ -30,7 +30,7 @@ from .julia import (
     stage_map,
 )
 from .machine import RECURRENT, TRANSIENT, SparseTransitionMatrix, build_matrix, classify_chain
-from .numeration import ProbSeq, largest_level
+from .numeration import ProbSeq, largest_level, levels
 
 DEDUP_TOL = 1e-10
 ROOT_CAP = 200_000
@@ -124,20 +124,17 @@ def point_spectrum(sys: FiberedSystem, r_max: int, cap: int = ROOT_CAP) -> Point
     deduplicated; stops with partial results once a depth would exceed ``cap``."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
-    levels = []
-    capped = False
-    count = 1
-    for depth in range(1, r_max + 1):
-        count *= sys.d(depth)
-        if count > cap:
-            capped = True
-            break
+    # Depth r has q_r = prod_{i<=r} d_i candidate roots, so it fits the cap
+    # exactly when q_r is a level <= cap.
+    depth_max = min(r_max, len(levels(sys.base, cap)))
+    sets = []
+    for depth in range(1, depth_max + 1):
         w = np.asarray([1.0 + 0.0j])
         for j in range(depth, 0, -1):
             w = _preimage_array(sys, j, w).reshape(-1)
         w = _composed_newton(sys, w, depth)
-        levels.append(RootSet(depth, _dedup(w, DEDUP_TOL)))
-    return PointSpectrum(tuple(levels), capped)
+        sets.append(RootSet(depth, _dedup(w, DEDUP_TOL)))
+    return PointSpectrum(tuple(sets), depth_max < r_max)
 
 
 @dataclass(frozen=True)

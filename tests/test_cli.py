@@ -247,6 +247,25 @@ class TestReport:
         assert "--preset" in err
 
 
+class TestOptions:
+    """Each subcommand accepts only the shared options that it reads."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--suite", "escape", "--threads", "2"], "unrecognized arguments: --threads"),
+        (["digits", "8", "--base", "const:3", "--seed", "1"], "unrecognized arguments: --seed"),
+        (["digits", "8", "--base", "const:3", "--preset", "fig3a"], "unrecognized arguments"),
+        (["report", "--preset", "fig3a", "--out", "x"], "unrecognized arguments: --out"),
+        (["matrix", "--n", "9", "--preset", "fig3a", "--seed", "1"], "unrecognized arguments"),
+        (["render", "--preset", "fig6a"], "the following arguments are required: --out"),
+        (["digits", "8"], "the following arguments are required: --base"),
+    ])
+    def test_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
 class TestErrors:
     def test_internal_error_exit_code(self, capsys):
         code, _, err = run(capsys, "roots", "--base", "const:2", "--probs",

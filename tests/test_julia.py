@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +35,7 @@ from stochadd.numeration import (
     base_product,
     parse_base_spec,
     parse_probs_spec,
+    to_digits,
 )
 
 SYS_HALF = FiberedSystem(BaseSeq("const", (2,)), ProbSeq("const", (0.5,)))
@@ -212,6 +214,62 @@ class TestWitness:
                     g = witness(sysm, lam, t, n)
                     resid = float(np.abs((csr @ g - lam * g)[mask]).max())
                     assert resid <= 3.0 * sysm.probs.prefix_product(t) + 1e-12
+
+
+def witness_oracle(sysm, lam, t, n):
+    """Entry m multiplies v_r ** a_r(m) left to right over the digits of m
+    up to position t, each power a product of a_r factors v_r."""
+    vals = stage_values(sysm, lam, t)
+    out = []
+    for m in range(n):
+        acc = 1.0 + 0.0j
+        for v, a in zip(vals, to_digits(m, sysm.base).digits):
+            power = 1.0 + 0.0j
+            for _ in range(a):
+                power *= v
+            acc *= power
+        out.append(acc)
+    return np.array(out)
+
+
+class TestWitnessEntries:
+    """Entry by entry against ``witness_oracle``, at sizes that are not levels
+    and depths around the digit count L of n - 1.  rtol, not bit equality:
+    array multiplies may fuse a multiply-add that the scalar oracle rounds
+    twice."""
+
+    @pytest.mark.parametrize("spec", [("periodic:3,5", "pconst:0.7"),
+                                      ("fib", "plist:0.55,1;tail=0.55"),
+                                      ("list:5,2;tail=3", "plist:0.7,0.85,0.6;tail=0.75")])
+    @pytest.mark.parametrize("n", [1, 2, 100, 1000])
+    def test_matches_scalar_oracle(self, spec, n):
+        from stochadd.spectrum import point_spectrum, sample_bounded
+        sysm = FiberedSystem(parse_base_spec(spec[0]), parse_probs_spec(spec[1]))
+        depth = len(to_digits(n - 1, sysm.base).digits)
+        # 1 - p_1 has stage value 0, so 0**0 = 1 shows.
+        lams = [1.0 - sysm.p(1), point_spectrum(sysm, 2).all_roots()[1],
+                *sample_bounded(sysm, 2, depth=200, seed=1)]
+        for lam in lams:
+            for t in sorted({1, 2, depth - 1, depth, depth + 3} - {-1, 0}):
+                want = witness_oracle(sysm, lam, t, n)
+                assert np.isfinite(want).all()
+                got = witness(sysm, lam, t, n)
+                assert got.shape == (n,)
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_blocks_stay_within_twice_n(self):
+        # d_2 = 10**6, but below n = 3 only digits 0 and 1 occur at position 2.
+        sysm = FiberedSystem(parse_base_spec("list:2;tail=1000000"),
+                             parse_probs_spec("pconst:0.7"))
+        tracemalloc.start()
+        try:
+            got = witness(sysm, 0.3 + 0.2j, 5, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+        np.testing.assert_allclose(got, witness_oracle(sysm, 0.3 + 0.2j, 5, 3),
+                                   rtol=1e-13, atol=0)
 
 
 class TestFactorization:

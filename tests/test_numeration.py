@@ -14,6 +14,7 @@ from stochadd.numeration import (
     counter,
     from_digits,
     largest_level,
+    levels,
     parse_base_spec,
     parse_probs_spec,
     successor,
@@ -91,6 +92,46 @@ class TestLargestLevel:
         levels = itertools.accumulate((base.at(r) for r in range(1, 21)), operator.mul)
         under = [q for q in levels if q <= cap]
         assert largest_level(base, cap) == max(under + [2])
+
+
+@st.composite
+def bases_and_states(draw):
+    """A base and a state m >= 0, half the time a multiple of a level or one off it."""
+    base = draw(base_seqs())
+    if draw(st.booleans()):
+        return base, draw(st.integers(0, 10**6))
+    q = base_product(base, draw(st.integers(1, 5)))
+    return base, max(0, draw(st.integers(1, 40)) * q + draw(st.integers(-1, 1)))
+
+
+class TestLevels:
+    """``levels`` is where q_s lives; the counter and the zero run are
+    divisibility by it."""
+
+    @given(bases_and_states())
+    @settings(max_examples=200, deadline=None)
+    def test_are_the_base_products_up_to_n(self, case):
+        base, n = case
+        products = (base_product(base, s) for s in itertools.count(1))
+        assert levels(base, n) == list(itertools.takewhile(lambda q: q <= n, products))
+
+    @given(bases_and_states())
+    @settings(max_examples=200, deadline=None)
+    def test_counter_counts_levels_dividing_the_successor(self, case):
+        base, m = case
+        dividing = [q for q in levels(base, m + 1) if (m + 1) % q == 0]
+        assert counter(to_digits(m, base)) - 1 == len(dividing)
+
+    @given(bases_and_states())
+    @settings(max_examples=200, deadline=None)
+    def test_zero_run_place_is_the_largest_level_dividing(self, case):
+        base, m = case
+        if m == 0:
+            return
+        digits = to_digits(m, base).digits
+        zeros = next(r for r, a in enumerate(digits) if a)
+        dividing = [q for q in levels(base, m) if m % q == 0]
+        assert base_product(base, zeros) == max(dividing, default=1)
 
 
 class TestDigits:
