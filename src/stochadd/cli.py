@@ -57,8 +57,6 @@ PRESETS = {
 }
 
 VERIFY_DEFAULT_PRESETS = ("fig3a", "fig4a", "fig6a", "fig8a", "fig10a")
-VERIFY_SUITES = ("stochasticity", "renorm", "eigenpairs", "escape", "witness",
-                 "factorization", "transient", "all")
 BASE_HELP = "base spec, e.g. const:3, periodic:3,5, list:2,3,4;tail=4, even, fib"
 
 
@@ -70,18 +68,23 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _resolve_config(args) -> tuple[str, str]:
-    if args.preset:
-        if args.preset not in PRESETS:
-            raise UsageError(f"unknown preset {args.preset!r}")
-        return PRESETS[args.preset]
-    if args.base is None or args.probs is None:
-        raise UsageError("need --base and --probs (or --preset)")
-    return args.base, args.probs
+def _configs(args, defaults=()) -> list[tuple[str, str, str]]:
+    """The (name, base spec, probs spec) configurations a run uses: the
+    ``--preset`` alone, or ``--base`` with ``--probs`` (named "custom"), or
+    ``defaults`` when none of the three is given."""
+    preset, base, probs = args.preset, args.base, args.probs
+    if base is None and probs is None:
+        if preset is not None:
+            return [(preset, *PRESETS[preset])]
+        if defaults:
+            return [(name, *PRESETS[name]) for name in defaults]
+    elif preset is None and base is not None and probs is not None:
+        return [("custom", base, probs)]
+    raise UsageError("use --preset alone, or --base with --probs")
 
 
 def _system(args) -> tuple[FiberedSystem, str, str]:
-    base_spec, probs_spec = _resolve_config(args)
+    [(_, base_spec, probs_spec)] = _configs(args)
     sysm = FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
     return sysm, base_spec, probs_spec
 
@@ -209,8 +212,8 @@ def _escape_samples(seed: int) -> np.ndarray:
 
 def _suite_escape(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     lams = _escape_samples(seed)
-    tight, _ = julia._render_band(sysm, lams, 200)
-    loose, _ = julia._render_band(sysm, lams, 200, bailout=1e6)
+    tight, _ = julia._render_band(sysm, lams, DEFAULT_DEPTH)
+    loose, _ = julia._render_band(sysm, lams, DEFAULT_DEPTH, bailout=1e6)
     mismatches = int((tight != loose).sum())
     return mismatches == 0, f"samples={lams.size} mismatches={mismatches}"
 
@@ -218,7 +221,7 @@ def _suite_escape(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
 def _suite_witness(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     n = largest_level(sysm.base, 1024)
     mat = machine.build_matrix(n, sysm.base, sysm.probs)
-    lams = spectrum.sample_bounded(sysm, 10, depth=200, seed=seed)
+    lams = spectrum.sample_bounded(sysm, 10, depth=DEFAULT_DEPTH, seed=seed)
     worst_slack = -1e30
     for lam in lams:
         for t in range(1, 5):
@@ -250,7 +253,7 @@ def _suite_transient(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     reason = spectrum.transient_skip_reason(sysm.probs)
     if reason is not None:
         return True, f"skipped ({reason})"
-    grid = julia.render(sysm, DEFAULT_WINDOW, (192, 192), 200)
+    grid = julia.render(sysm, DEFAULT_WINDOW, (192, 192), DEFAULT_DEPTH)
     rep = spectrum.transient_limit_check(sysm, grid, sample_count=12, r_probe=60,
                                          seed=seed)
     return rep.ok, (f"interior_max={rep.interior_max_mod:.17g} "
@@ -267,21 +270,14 @@ _SUITE_FUNCS = {
     "factorization": _suite_factorization,
     "transient": _suite_transient,
 }
+VERIFY_SUITES = (*_SUITE_FUNCS, "all")
 
 
 def cmd_verify(args) -> int:
     suites = list(_SUITE_FUNCS) if args.suite == "all" else [args.suite]
-    configs: list[tuple[str, str, str]] = []
-    if args.preset or (args.base and args.probs):
-        base_spec, probs_spec = _resolve_config(args)
-        configs.append((args.preset or "custom", base_spec, probs_spec))
-    else:
-        for name in VERIFY_DEFAULT_PRESETS:
-            base_spec, probs_spec = PRESETS[name]
-            configs.append((name, base_spec, probs_spec))
     failures = 0
     report_lines = []
-    for name, base_spec, probs_spec in configs:
+    for name, base_spec, probs_spec in _configs(args, VERIFY_DEFAULT_PRESETS):
         sysm = FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
         for suite in suites:
             try:
@@ -326,6 +322,10 @@ def cmd_report(args) -> int:
             f"transient_boundary_min={_fmt(trep.boundary_min_mod)}",
             f"transient_boundary_max={_fmt(trep.boundary_max_mod)}",
         ]
+    if "transient_limits_skipped" in rep.evidence:
+        lines.append(f"transient_limits=skipped ({rep.evidence['transient_limits_skipped']})")
+    if "transient_limits_error" in rep.evidence:
+        lines.append(f"transient_limits=error ({rep.evidence['transient_limits_error']})")
     lines.append(f"ok={str(rep.ok).lower()}")
     print("\n".join(lines))
     return 0 if rep.ok else 1
@@ -348,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--base", help=BASE_HELP)
     config.add_argument("--probs", help="probability spec, e.g. pconst:0.7, "
                                         "plist:0.7,1;tail=0.55, pgeo:c=0.25,gamma=0.5")
-    config.add_argument("--preset", help="named configuration (fig3a..fig10c)")
+    config.add_argument("--preset", choices=PRESETS, metavar="NAME",
+                        help="named configuration (fig3a..fig10c)")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
     out = argparse.ArgumentParser(add_help=False)

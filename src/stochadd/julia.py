@@ -447,11 +447,10 @@ def boundary_pixels(grid: MembershipGrid) -> np.ndarray:
 
 
 def write_pgm(grid: MembershipGrid, path) -> None:
-    """Binary PGM: 255 for bounded pixels, else floor(254 * stage / depth)."""
-    shade = 254.0 * grid.stage  # one float temporary, rounded in place
-    shade /= grid.depth
-    np.floor(shade, out=shade)
-    img = np.where(grid.escaped, shade.astype(np.uint8), np.uint8(255))
+    """Binary PGM: 255 for bounded pixels, else floor(254 * stage / depth),
+    read from a table of depth + 1 shades indexed by stage."""
+    shade = np.floor(254.0 * np.arange(grid.depth + 1) / grid.depth).astype(np.uint8)
+    img = np.where(grid.escaped, shade[grid.stage], np.uint8(255))
     with open(path, "wb") as fh:
         fh.write(f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii"))
         fh.write(img)

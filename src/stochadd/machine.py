@@ -34,7 +34,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .numeration import (
-    INT64_MAX,
     BaseSeq,
     ProbSeq,
     counter,
@@ -235,8 +234,6 @@ def simulate(base: BaseSeq, probs: ProbSeq, start: int, steps: int, seed: int) -
     state = start
     states = [start]
     for u in draws:
-        if state > INT64_MAX:
-            raise OverflowError("n exceeds int64")
         s = 1  # s_n - 1 is the number of levels dividing n + 1
         while (state + 1) % q[s - 1] == 0:
             s += 1

@@ -7,17 +7,16 @@ integers are represented canonically (no trailing zeros), so equal integers
 have structurally equal digit vectors.
 
 This module is pure integer arithmetic on Python ints: every sequence object
-is a frozen dataclass and every operation is pure.  Integers are kept within
-signed 64-bit range and overflow raises instead of wrapping, so cumulative
-products stay usable as array indices downstream.
+is a frozen dataclass and every operation is pure.  States and place values
+are unbounded Python integers, as the machine runs on all of Z_+; arrays are
+built downstream only from levels at most a truncation size.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
-
-INT64_MAX = (1 << 63) - 1
 
 _BASE_KINDS = ("const", "periodic", "list", "even", "fib")
 _PROB_KINDS = ("const", "list", "geo")
@@ -203,17 +202,11 @@ class DigitVec:
 def base_product(base: BaseSeq, r: int) -> int:
     """Cumulative base product prod_{i<=r} d_i; the empty product (r=0) is 1.
 
-    This is the place value of digit position r+1.  Raises OverflowError once
-    the product leaves signed 64-bit range.
+    This is the place value of digit position r+1.
     """
     if r < 0:
         raise ValueError("r must be >= 0")
-    acc = 1
-    for i in range(1, r + 1):
-        acc *= base.at(i)
-        if acc > INT64_MAX:
-            raise OverflowError(f"base product exceeds int64 at position {i}")
-    return acc
+    return math.prod(base.at(i) for i in range(1, r + 1))
 
 
 def levels(base: BaseSeq, n: int) -> list[int]:
@@ -240,8 +233,6 @@ def to_digits(n: int, base: BaseSeq) -> DigitVec:
     """Canonical digit expansion of n >= 0 (greedy mixed-radix divmod)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > INT64_MAX:
-        raise OverflowError("n exceeds int64")
     digits = []
     r = 1
     while n:
@@ -257,12 +248,7 @@ def from_digits(dv: DigitVec) -> int:
     place = 1
     for r, a in enumerate(dv.digits, start=1):
         acc += a * place
-        if acc > INT64_MAX:
-            raise OverflowError("digit value exceeds int64")
-        if r < len(dv.digits):
-            place *= dv.base.at(r)
-            if place > INT64_MAX:
-                raise OverflowError("place value exceeds int64")
+        place *= dv.base.at(r)
     return acc
 
 

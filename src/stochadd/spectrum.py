@@ -17,6 +17,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .julia import (
+    DEFAULT_DEPTH,
     DEFAULT_WINDOW,
     FiberedSystem,
     MembershipGrid,
@@ -252,7 +253,7 @@ def _boundary_chain(sys: FiberedSystem, depth: int, rng) -> tuple[complex, list[
     return vals[0], vals[1:], worst
 
 
-def sample_bounded(sys: FiberedSystem, count: int, depth: int = 200, seed: int = 0,
+def sample_bounded(sys: FiberedSystem, count: int, depth: int = DEFAULT_DEPTH, seed: int = 0,
                    rejection_budget: int | None = None) -> list[complex]:
     """Random parameters certified bounded through ``depth``.
 
@@ -369,7 +370,9 @@ def classify_spectrum(sys: FiberedSystem, depth: int, resolution: int = 256,
     evidence from a pixel-matched band render, or skipped with its reason
     (a dust-like set can leave that grid without boundary pixels); only the
     eigen-equation residuals and (in the transient regime) the limit probe
-    gate ``ok``.
+    gate ``ok``.  The probe is skipped with ``transient_skip_reason``'s
+    reason, leaving ``ok`` as it is, and a probe that raises ``ValueError``
+    is failed evidence, recorded as ``transient_limits_error``.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -391,11 +394,20 @@ def classify_spectrum(sys: FiberedSystem, depth: int, resolution: int = 256,
         evidence["boundary_coverage"] = coverage
     ok = eig.ok
     if claimed == "boundary_of_E":
-        deep_grid = render(sys, DEFAULT_WINDOW, res)
-        trep = transient_limit_check(sys, deep_grid, sample_count=20, r_probe=60,
-                                     seed=seed)
-        evidence["transient_limits"] = trep
-        ok = ok and trep.ok
+        reason = transient_skip_reason(sys.probs)
+        if reason is not None:
+            evidence["transient_limits_skipped"] = reason
+        else:
+            deep_grid = render(sys, DEFAULT_WINDOW, res)
+            try:
+                trep = transient_limit_check(sys, deep_grid, sample_count=20,
+                                             r_probe=60, seed=seed)
+            except ValueError as exc:
+                evidence["transient_limits_error"] = str(exc)
+                ok = False
+            else:
+                evidence["transient_limits"] = trep
+                ok = ok and trep.ok
     return SpectrumReport(regime, claimed, evidence, ok)
 
 

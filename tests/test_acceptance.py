@@ -136,10 +136,7 @@ def test_criterion_03_eigenpair_verification():
                  ("periodic:3,5", "pconst:0.7"), ("fib", "pconst:0.8")]
         for base_spec, probs_spec in sweep:
             sysm = _system(base_spec, probs_spec)
-            try:
-                n = min(base_product(sysm.base, 8), 10_000)
-            except OverflowError:
-                n = 10_000
+            n = min(base_product(sysm.base, 8), 10_000)
             rep = verify_eigenpairs(sysm, point_spectrum(sysm, 4).all_roots(),
                                     n, tol=1e-9)
             assert rep.ok, f"{base_spec} {probs_spec}: {rep.max_residual}"

@@ -258,12 +258,70 @@ class TestOptions:
         (["matrix", "--n", "9", "--preset", "fig3a", "--seed", "1"], "unrecognized arguments"),
         (["render", "--preset", "fig6a"], "the following arguments are required: --out"),
         (["digits", "8"], "the following arguments are required: --base"),
+        (["matrix", "--n", "9", "--preset", "fig99"], "argument --preset: invalid choice: 'fig99'"),
     ])
     def test_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+
+class TestConfigurationRule:
+    """``--preset`` alone or ``--base`` with ``--probs`` names one configuration;
+    ``verify`` with none of the three runs its default presets."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "renorm", "--base", "const:2"],
+        ["verify", "--suite", "renorm", "--probs", "pconst:0.5"],
+        ["verify", "--suite", "renorm", "--preset", "fig3a", "--base", "const:2",
+         "--probs", "pconst:0.5"],
+        ["matrix", "--n", "9", "--preset", "fig3a", "--base", "const:2"],
+        ["simulate", "--steps", "2", "--preset", "fig3a", "--probs", "pconst:0.5"],
+        ["roots", "--depth", "2", "--base", "const:2"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        assert run(capsys, *argv) == (2, "", "error: use --preset alone, or --base with --probs\n")
+
+
+class TestUnboundedStates:
+    def test_digits_past_int64(self, capsys):
+        code, out, err = run(capsys, "digits", str(2**63), "--base", "const:2")
+        assert (code, err) == (0, "")
+        assert out == f"digits={'0,' * 63}1 counter=1 succ={2**63 + 1}\n"
+
+    def test_simulate_past_int64(self, capsys):
+        code, out, err = run(capsys, "simulate", "--base", "const:2", "--probs", "pconst:1",
+                             "--start", str(2**63 - 1), "--steps", "2")
+        assert (code, err) == (0, "")
+        assert out == f"step,state\n0,{2**63 - 1}\n1,{2**63}\n2,{2**63 + 1}\n"
+
+
+class TestReportTransientProbe:
+    """``report`` consults the same skip rule as ``verify --suite transient``."""
+
+    @pytest.mark.parametrize("halves, code, line", [
+        # 0.5**1080 underflows to 0.0: the probe is skipped, as in verify
+        (1080, 0, "transient_limits=skipped "
+                  "(probability product positive but below double precision)"),
+        # 0.5**1070 is subnormal and positive: the probe runs and fails
+        (1070, 1, "transient_limits=error (grid has no deep-interior pixels)"),
+    ], ids=["underflow", "subnormal"])
+    def test_skip_and_error(self, capsys, halves, code, line):
+        probs = "plist:" + ",".join(["0.5"] * halves) + ";tail=1"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = run(capsys, "report", "--base", "const:2", "--probs", probs)
+            _, verify_out, _ = run(capsys, "verify", "--suite", "transient",
+                                   "--base", "const:2", "--probs", probs)
+        assert (got, err) == (code, "")
+        fields = dict(l.split("=", 1) for l in out.splitlines())
+        assert line in out.splitlines()
+        assert fields["ok"] == ("true" if code == 0 else "false")
+        assert "transient_interior_max" not in fields
+        verdict = "PASS transient custom skipped" if code == 0 else \
+            "FAIL transient custom error=grid has no deep-interior pixels"
+        assert verify_out.startswith(verdict)
 
 
 class TestErrors:

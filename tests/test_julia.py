@@ -421,6 +421,34 @@ class TestImageFiles:
         text = meta.read_text()
         assert "base=const:2" in text and "width=32" in text and "depth=40" in text
 
+    @staticmethod
+    def per_pixel_shades(grid):
+        """The shading formula evaluated on every pixel in float64."""
+        shade = np.floor(254.0 * grid.stage / grid.depth).astype(np.uint8)
+        return np.where(grid.escaped, shade, np.uint8(255))
+
+    @staticmethod
+    def pgm_pixels(grid, path):
+        write_pgm(grid, path)
+        raw = path.read_bytes()
+        return np.frombuffer(raw.split(b"255\n", 1)[1], dtype=np.uint8).reshape(grid.stage.shape)
+
+    @pytest.mark.parametrize("depth", [1, 2, 7, 14, 200, 4999])
+    def test_shade_table_matches_per_pixel_formula(self, tmp_path, depth):
+        # One escaped pixel at every stage 1..depth and a bounded one after them.
+        stage = np.append(np.arange(1, depth + 1), depth).astype(np.int32)[None, :]
+        escaped = np.arange(depth + 1)[None, :] < depth
+        grid = julia.MembershipGrid((-1.0, 1.0, -1.0, 1.0), depth + 1, 1, depth,
+                                    escaped, stage)
+        assert self.pgm_pixels(grid, tmp_path / "t.pgm").tobytes() == \
+            self.per_pixel_shades(grid).tobytes()
+
+    def test_rendered_shades_match_per_pixel_formula(self, tmp_path):
+        grid = render(PRESET_SYSTEMS["fig6a"], (-1.6, 1.6, -1.6, 1.6), (48, 40), 7)
+        assert grid.escaped.any() and not grid.escaped.all()
+        assert self.pgm_pixels(grid, tmp_path / "r.pgm").tobytes() == \
+            self.per_pixel_shades(grid).tobytes()
+
     def test_byte_determinism(self, tmp_path):
         grid = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (48, 48), 30)
         a, b = tmp_path / "a.pgm", tmp_path / "b.pgm"

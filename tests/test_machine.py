@@ -20,7 +20,7 @@ from stochadd.machine import (
     write_matrix_coordinate,
     write_trajectory_csv,
 )
-from stochadd.numeration import INT64_MAX, BaseSeq, ProbSeq, base_product, to_digits
+from stochadd.numeration import BaseSeq, ProbSeq, base_product, to_digits
 
 from test_numeration import base_seqs, prob_seqs
 
@@ -309,12 +309,14 @@ class TestSimulate:
             assert simulate(base, probs, start, 30, 0).states == \
                 reference_path(base, probs, start, 30, 0)
 
-    def test_path_past_int64_raises(self):
-        # A step from a state past int64 fails as to_digits does; reaching
-        # that state on the last step does not.
-        assert simulate(B3, P_ONE, INT64_MAX - 1, 2, seed=0).states[-1] == INT64_MAX + 1
-        with pytest.raises(OverflowError):
-            simulate(B3, P_ONE, INT64_MAX - 1, 3, seed=0)
+    @pytest.mark.parametrize("probs", [P_HALF, ProbSeq("list", (0.7, 1.0, 0.4), 0.55)],
+                             ids=["pconst", "plist"])
+    def test_path_past_int64_matches_scalar_loop(self, probs):
+        # 3**45 - 5 > 2**63 reaches forty-five maximal base-3 digits within four steps.
+        start = 3**45 - 5
+        for seed in range(5):
+            assert simulate(B3, probs, start, 300, seed).states == \
+                reference_path(B3, probs, start, 300, seed)
 
 
 class TestClassify:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 
 import pytest
@@ -59,9 +60,11 @@ class TestBaseProduct:
     def test_mixed_prefix(self):
         assert base_product(B234, 3) == 24
 
-    def test_overflow_raises(self):
-        with pytest.raises(OverflowError):
-            base_product(BaseSeq("fib"), 200)
+    def test_fib_product_past_int64(self):
+        entries = [2, 3]
+        while len(entries) < 200:
+            entries.append(entries[-1] + entries[-2])
+        assert base_product(BaseSeq("fib"), 200) == math.prod(entries) > 2**63
 
     def test_even_and_fib_values(self):
         even = BaseSeq("even")
@@ -222,10 +225,22 @@ class TestTruncation:
         assert from_digits(truncate_digits(dv, s)) == n - (qs - 1)
 
 
+@st.composite
+def bases_and_big_states(draw):
+    """A base and a state up to 2**200, half the time one below a multiple of
+    a level, so that the successor carries through every digit below it."""
+    base = draw(base_seqs())
+    if draw(st.booleans()):
+        return base, draw(st.integers(0, 2**200))
+    q = draw(st.sampled_from(levels(base, 2**200)))
+    return base, draw(st.integers(1, 2**200 // q)) * q - 1
+
+
 class TestRoundTrip:
-    @given(base_seqs(), st.integers(0, 10**6))
+    @given(bases_and_big_states())
     @settings(max_examples=300)
-    def test_round_trip(self, base, n):
+    def test_round_trip(self, case):
+        base, n = case
         dv = to_digits(n, base)
         assert from_digits(dv) == n
         if dv.digits:
@@ -233,9 +248,10 @@ class TestRoundTrip:
         for r, a in enumerate(dv.digits, start=1):
             assert 0 <= a < base.at(r)
 
-    @given(base_seqs(), st.integers(0, 10**6))
+    @given(bases_and_big_states())
     @settings(max_examples=300)
-    def test_successor_coherence(self, base, n):
+    def test_successor_coherence(self, case):
+        base, n = case
         assert from_digits(successor(to_digits(n, base))) == n + 1
 
 
