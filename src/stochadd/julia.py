@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,19 +27,33 @@ DEFAULT_WINDOW = (-1.6, 1.6, -1.6, 1.6)
 
 @dataclass(frozen=True)
 class FiberedSystem:
-    """Base and probability sequences driving the stage maps."""
+    """Base and probability sequences driving the stage maps.
+
+    ``stages(depth)`` is the stage table: tuples d, p and c indexed by
+    r = 1..depth (entry 0 is None), with d[r] = base.at(r), p[r] = probs.at(r)
+    and c[r] = 1.0 - probs.at(r), bit for bit.  The scalar stage loops fetch it
+    once and index it.  It is built once per system; a deeper request
+    rebuilds it whole, at least twice as deep, and swaps it in with one
+    attribute store.  It is never extended in place, so threads sharing a
+    system (the bands of ``render``) each read a complete table, whichever
+    build they see.
+    """
 
     base: BaseSeq
     probs: ProbSeq
+    _table: tuple = field(default=((None,), (None,), (None,)), init=False, repr=False,
+                          compare=False)
 
-    def d(self, r: int) -> int:
-        return self.base.at(r)
-
-    def p(self, r: int) -> float:
-        return self.probs.at(r)
-
-    def center(self, r: int) -> float:
-        return 1.0 - self.probs.at(r)
+    def stages(self, depth: int) -> tuple[tuple, tuple, tuple]:
+        """(d, p, c) with entries for at least r = 1..depth."""
+        table = self._table
+        if len(table[0]) <= depth:
+            rs = range(1, max(depth, 2 * (len(table[0]) - 1)) + 1)
+            p = (None, *(self.probs.at(r) for r in rs))
+            table = ((None, *(self.base.at(r) for r in rs)), p,
+                     (None, *(1.0 - x for x in p[1:])))
+            object.__setattr__(self, "_table", table)
+        return table
 
 
 @dataclass(frozen=True)
@@ -116,30 +130,35 @@ def _pow_int(z, d: int):
     return result
 
 
-def _rescale(sys: FiberedSystem, r: int, z):
-    """(z - (1-p_r)) / p_r for a complex scalar or array.
+def _rescale(z, p: float, c: float):
+    """(z - c) / p with c = 1 - p, for a complex scalar or array.
 
     numpy divides a complex array by a real with Smith's formula, which
-    multiplies each part by fl(1 / p_r); an array is multiplied by that factor
+    multiplies each part by fl(1 / p); an array is multiplied by that factor
     directly, which differs only in the sign of a zero part and skips the
     scalar division loop.  Scalars keep their correctly rounded division.
     """
-    h = z - sys.center(r)
-    return h * (1.0 / sys.p(r)) if isinstance(h, np.ndarray) else h / sys.p(r)
+    h = z - c
+    return h * (1.0 / p) if isinstance(h, np.ndarray) else h / p
+
+
+def _stage(z, d: int, p: float, c: float):
+    """((z - c) / p) ** d: one stage map from its table entries d_r, p_r, c_r."""
+    return _pow_int(_rescale(z, p, c), d)
+
+
+def _jet(z, d: int, p: float, c: float):
+    """(f(z), f'(z)) for the stage map with table entries d, p, c; f(z) has ``_stage``'s bits."""
+    h = _rescale(z, p, c)
+    return _pow_int(h, d), d * _pow_int(h, d - 1) / p
 
 
 def stage_map(sys: FiberedSystem, r: int, z):
     """f_r(z) = ((z - (1-p_r)) / p_r) ** d_r, for a complex scalar or array."""
     if r < 1:
         raise ValueError("stages are 1-based")
-    return _pow_int(_rescale(sys, r, z), sys.d(r))
-
-
-def stage_jet(sys: FiberedSystem, r: int, z):
-    """(f_r(z), f_r'(z)) for a complex scalar or array; f_r(z) has ``stage_map``'s bits."""
-    d = sys.d(r)
-    h = _rescale(sys, r, z)
-    return _pow_int(h, d), d * _pow_int(h, d - 1) / sys.p(r)
+    d, p, c = sys.stages(r)
+    return _stage(z, d[r], p[r], c[r])
 
 
 def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False) -> OrbitResult:
@@ -151,10 +170,11 @@ def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
+    d, p, c = sys.stages(r_max)
     v = complex(lam)
     trace = [] if keep_trace else None
     for r in range(1, r_max + 1):
-        v = stage_map(sys, r, v)
+        v = _stage(v, d[r], p[r], c[r])
         if trace is not None:
             trace.append(v)
         if not abs(v) <= 1.0:  # a NaN modulus escapes too
@@ -164,12 +184,13 @@ def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False
 
 def stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex]:
     """Normalized stage values for stages 1..r_max."""
+    d, p, c = sys.stages(r_max)
     out = []
     v = complex(lam)
     for r in range(1, r_max + 1):
-        i = _rescale(sys, r, v)
+        i = _rescale(v, p[r], c[r])
         out.append(i)
-        v = _pow_int(i, sys.d(r))
+        v = _pow_int(i, d[r])
     return out
 
 
@@ -191,14 +212,18 @@ def witness(sys: FiberedSystem, lam: complex, t: int, n: int) -> np.ndarray:
     if t < 1 or n < 1:
         raise ValueError("t and n must be >= 1")
     cut = min(t, len(levels(sys.base, n - 1)) + 1)
+    d = sys.stages(cut)[0]
     out = np.ones(1, dtype=complex)
-    for r, i in enumerate(stage_values(sys, lam, cut), start=1):
-        # Below n, digit r stays under n / q_{r-1}: a block is at most 2n long.
-        table = np.empty(min(sys.d(r), -(-n // out.size)), dtype=complex)
-        table[0] = 1.0 + 0.0j
-        for e in range(1, table.size):
-            table[e] = table[e - 1] * i
-        out = (out[None, :] * table[:, None]).reshape(-1)[:n]
+    # Powers of a large stage value may overflow; the inf and NaN entries stay
+    # in the witness, for the eigen-residual to report.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, i in enumerate(stage_values(sys, lam, cut), start=1):
+            # Below n, digit r stays under n / q_{r-1}: a block is at most 2n long.
+            table = np.empty(min(d[r], -(-n // out.size)), dtype=complex)
+            table[0] = 1.0 + 0.0j
+            for e in range(1, table.size):
+                table[e] = table[e - 1] * i
+            out = (out[None, :] * table[:, None]).reshape(-1)[:n]
     return np.tile(out, -(-n // out.size))[:n]
 
 
@@ -212,16 +237,17 @@ def factorization_check(sys: FiberedSystem, lam: complex, r: int, k: int) -> flo
     if not 1 <= k <= r - 1:
         raise ValueError("need 1 <= k <= r-1")
     vals = stage_values(sys, lam, r)
+    d, p, _ = sys.stages(r)
     lhs = vals[r - 1] - 1.0
     factor = complex(1.0)
     for j in range(r - k + 1, r + 1):
         prev = vals[j - 2]
         zsum = complex(0.0)
         term = complex(1.0)
-        for _ in range(sys.d(j - 1)):
+        for _ in range(d[j - 1]):
             zsum += term
             term *= prev
-        factor *= zsum / sys.p(j)
+        factor *= zsum / p[j]
     rhs = (vals[r - k - 1] - 1.0) * factor
     return abs(lhs - rhs)
 
@@ -288,14 +314,14 @@ def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
     tau = [_NO_TRAP] * (depth + 1)
     if not bailout >= 1.0:
         return tau
+    d, p, c = sys.stages(depth)
     t = tau[depth] = 1.0
     for r in range(depth, 0, -1):
         x = (t - _ETA) * (1.0 - 8 * _U)
-        z = x ** (1 / sys.d(r))  # int division: no overflow for huge degrees
+        z = x ** (1 / d[r])  # int division: no overflow for huge degrees
         z *= 1.0 - (8 + math.ceil(-math.log(z))) * _U
-        y = sys.p(r) * z
-        c = sys.center(r)
-        t = (y - c) - 16 * _U * (y + c)
+        y = p[r] * z
+        t = (y - c[r]) - 16 * _U * (y + c[r])
         if not t >= _TAU_FLOOR:
             break
         tau[r - 1] = t

@@ -22,13 +22,13 @@ from .julia import (
     FiberedSystem,
     MembershipGrid,
     _has_neighbor,
+    _jet,
     _render_band,
+    _stage,
     band_depth,
     boundary_pixels,
     eigvec,
     render,
-    stage_jet,
-    stage_map,
 )
 from .machine import RECURRENT, TRANSIENT, SparseTransitionMatrix, build_matrix, classify_chain
 from .numeration import ProbSeq, largest_level, levels
@@ -70,11 +70,11 @@ def _preimage_array(sys: FiberedSystem, r: int, w: np.ndarray) -> np.ndarray:
     Uses the principal d-th root (argument in (-pi/d, pi/d]) times all d-th
     roots of unity, then one Newton polish step on f_r.
     """
-    d = sys.d(r)
+    d, p, c = (x[r] for x in sys.stages(r))
     zetas = np.exp(2j * np.pi * np.arange(d) / d)
     root = np.power(w, 1.0 / d)
-    z = sys.center(r) + sys.p(r) * root[None, :] * zetas[:, None]  # (d, len(w))
-    fz, fpz = stage_jet(sys, r, z)
+    z = c + p * root[None, :] * zetas[:, None]  # (d, len(w))
+    fz, fpz = _jet(z, d, p, c)
     safe = np.abs(fpz) > 1e-12
     z = np.where(safe, z - (fz - w[None, :]) / np.where(safe, fpz, 1.0), z)
     return z
@@ -82,12 +82,13 @@ def _preimage_array(sys: FiberedSystem, r: int, w: np.ndarray) -> np.ndarray:
 
 def _composed_newton(sys: FiberedSystem, z: np.ndarray, depth: int) -> np.ndarray:
     """Newton refinement of f~_depth(z) = 1 with the chain-rule derivative."""
+    d, p, c = sys.stages(depth)
     z = z.astype(complex)
     for _ in range(NEWTON_STEPS):
         v = z.copy()
         deriv = np.ones_like(z)
         for r in range(1, depth + 1):
-            v, fp = stage_jet(sys, r, v)
+            v, fp = _jet(v, d[r], p[r], c[r])
             deriv = deriv * fp
         resid = v - 1.0
         if np.abs(resid).max() < 1e-13:
@@ -161,14 +162,11 @@ def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9) -> E
     if n < 2:
         raise ValueError("n must be >= 2")
     mat = build_matrix(n, sys.base, sys.probs)
-    items = []
-    worst = 0.0
-    for lam in np.asarray(roots, dtype=complex):
-        v = eigvec(sys, complex(lam), n)
-        resid = eigen_residual(mat, lam, v)
-        items.append((complex(lam), resid))
-        worst = max(worst, resid)
-    return EigenReport(n, tol, tuple(items), worst, worst <= tol)
+    items = tuple((complex(lam), eigen_residual(mat, lam, eigvec(sys, complex(lam), n)))
+                  for lam in np.asarray(roots, dtype=complex))
+    # np.max, unlike max, propagates a NaN residual, which then fails ``ok``.
+    worst = float(np.max([resid for _, resid in items], initial=0.0))
+    return EigenReport(n, tol, items, worst, worst <= tol)
 
 
 def boundary_density(grid: MembershipGrid, rootsets) -> tuple[float, float]:
@@ -223,14 +221,14 @@ def _deep_interior_mask(grid: MembershipGrid) -> np.ndarray:
 CHAIN_DEGREE_LIMIT = 1_000_000
 
 
-def _random_preimage(sys: FiberedSystem, r: int, w: complex, rng) -> complex:
-    """One uniformly chosen solution of f_r(z) = w, Newton-polished."""
-    d = sys.d(r)
+def _random_preimage(d: int, p: float, c: float, w: complex, rng) -> complex:
+    """One uniformly chosen solution of f(z) = w for the stage map with table
+    entries d, p, c, Newton-polished in numpy-scalar arithmetic."""
     if d > CHAIN_DEGREE_LIMIT:
         raise ValueError(f"stage degree {d} too large for chain sampling")
     branch = int(rng.integers(0, d))
-    z = sys.center(r) + sys.p(r) * w ** (1.0 / d) * np.exp(2j * np.pi * branch / d)
-    fz, fpz = stage_jet(sys, r, z)
+    z = c + p * w ** (1.0 / d) * np.exp(2j * np.pi * branch / d)
+    fz, fpz = _jet(z, d, p, c)
     if abs(fpz) > 1e-12:
         z = z - (fz - w) / fpz
     return complex(z)
@@ -243,13 +241,14 @@ def _boundary_chain(sys: FiberedSystem, depth: int, rng) -> tuple[complex, list[
     residual |f_j(v_{j-1}) - v_j|).  Backward steps contract, so the chain is
     a certified pseudo-orbit ending exactly at 1.
     """
+    d, p, c = sys.stages(depth)
     vals = [0j] * (depth + 1)
     vals[depth] = 1.0 + 0.0j
     for j in range(depth, 0, -1):
-        vals[j - 1] = _random_preimage(sys, j, vals[j], rng)
+        vals[j - 1] = _random_preimage(d[j], p[j], c[j], vals[j], rng)
     worst = 0.0
     for j in range(1, depth + 1):
-        worst = max(worst, abs(stage_map(sys, j, vals[j - 1]) - vals[j]))
+        worst = max(worst, abs(_stage(vals[j - 1], d[j], p[j], c[j]) - vals[j]))
     return vals[0], vals[1:], worst
 
 
@@ -262,9 +261,11 @@ def sample_bounded(sys: FiberedSystem, count: int, depth: int = DEFAULT_DEPTH, s
     orbits stay bounded are kept in draw order.  When the bounded set has
     (numerically) empty interior, rejection never hits, so the remainder is
     filled with random inverse-orbit points whose backward chains certify
-    modulus <= 1 at every probed stage.  A fill that stops at ``count`` draws
-    no chain, and one that falls short used the whole budget, so this is the
-    PCG64 stream of one draw pair at a time.
+    modulus <= 1 at every probed stage.  The fill, too, may reject only
+    ``rejection_budget`` chains: at that many uncertified chains it raises
+    ``ValueError``.  A fill that stops at ``count`` draws no chain, and one
+    that falls short used the whole budget, so this is the PCG64 stream of
+    one draw pair at a time.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -277,15 +278,22 @@ def sample_bounded(sys: FiberedSystem, count: int, depth: int = DEFAULT_DEPTH, s
     lam = rng.uniform((re_min, im_min), (re_max, im_max), size=(budget, 2)).view(complex)[:, 0]
     escaped, _ = _render_band(sys, lam, depth)
     out = lam[~escaped][:count].tolist()
+    d = sys.stages(depth)[0]
     chain_depth = depth
     for j in range(1, depth + 1):
-        if sys.d(j) > CHAIN_DEGREE_LIMIT:
+        if d[j] > CHAIN_DEGREE_LIMIT:
             chain_depth = j - 1
             break
+    rejected = 0
     while len(out) < count:
         lam, _, resid = _boundary_chain(sys, chain_depth, rng)
         if resid < 1e-9:
             out.append(lam)
+        else:
+            rejected += 1
+            if rejected >= budget:
+                raise ValueError(f"{rejected} backward chains failed certification with "
+                                 f"{len(out)} of {count} parameters found")
     return out
 
 
@@ -324,8 +332,9 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
     take = min(sample_count, interior.shape[0])
     pick = rng.choice(interior.shape[0], size=take, replace=False)
     v = grid.center_at(interior[pick, 0], interior[pick, 1])
+    d, p, c = sys.stages(r_probe)
     for r in range(1, r_probe + 1):
-        v = stage_map(sys, r, v)
+        v = _stage(v, d[r], p[r], c[r])
     interior_max = float(np.abs(v).max())
 
     boundary_mods = []

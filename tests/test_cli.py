@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +8,11 @@ import pytest
 from stochadd import julia
 from stochadd.cli import PRESETS, _escape_samples, main
 from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
+
+
+# 41 stages of probability 1e-8: stage maps that scale by 1e8.
+TINY_P = "plist:" + ",".join(["1e-8"] * 41) + ";tail=1"
+PINNED_VERIFY_STDOUT = json.loads((Path(__file__).parent / "verify_stdout.json").read_text())
 
 
 def run(capsys, *argv):
@@ -208,6 +215,31 @@ class TestVerify:
         assert code == 0
         assert out == "PASS transient custom skipped (vanishing probability product)\n"
 
+    def test_fill_without_certified_chains_fails(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "witness", "--base", "const:2",
+                           "--probs", TINY_P)
+        assert code == 1
+        assert out.startswith("FAIL witness custom error=")
+
+    @pytest.mark.parametrize("seed", [1, 7, 20])
+    @pytest.mark.parametrize("suite", ["factorization", "witness", "transient"])
+    def test_stdout_is_pinned(self, capsys, suite, seed):
+        # The lines these suites printed before their stage loops read one
+        # table per system: a moved last bit of any residual shows here.
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", str(seed))
+        assert code == 0
+        assert out.splitlines() == PINNED_VERIFY_STDOUT[f"{suite} {seed}"]
+
+
+class TestFactorizationDraws:
+    @pytest.mark.parametrize("seed", [0, 1, 20])
+    def test_scaled_random_is_uniform(self, seed):
+        # The factorization suite draws -1 + 2 * random() for uniform(-1, 1).
+        rng = np.random.default_rng(seed)
+        got = np.array([-1.0 + 2.0 * rng.random() for _ in range(100_000)])
+        want = np.random.default_rng(seed).uniform(-1, 1, size=100_000)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
 
 class TestReport:
     KEYS = {"base", "probs", "regime", "claimed_spectrum", "eigen_max_residual",
@@ -240,6 +272,14 @@ class TestReport:
         assert fields["boundary_density"] == "skipped (grid has no boundary pixels)"
         assert fields["regime"] == "null_recurrent_like"
         assert fields["ok"] == "true"
+
+    def test_overflowing_eigenvectors_fail_without_warnings(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run(capsys, "report", "--base", "const:2", "--probs", TINY_P)
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert code == 1
+        assert fields["eigen_max_residual"] == "nan" and fields["ok"] == "false"
 
     def test_needs_a_configuration(self, capsys):
         code, _, err = run(capsys, "report")

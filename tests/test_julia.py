@@ -1,6 +1,8 @@
 import cmath
 import math
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -62,6 +64,58 @@ class TestStageMap:
         for d in (2, 3, 6, 12, 13, 64):
             assert np.allclose(julia._pow_int(z, d), z ** d, rtol=1e-13, atol=0)
             assert julia._pow_int(complex(z[0]), d) == pytest.approx(complex(z[0]) ** d, rel=1e-13)
+
+
+STAGE_TABLE_BASES = [BaseSeq("const", (3,)), BaseSeq("periodic", (3, 5)),
+                     BaseSeq("list", (2, 7, 4), 5), BaseSeq("even"), BaseSeq("fib")]
+STAGE_TABLE_PROBS = [ProbSeq("const", (0.7,)), ProbSeq("list", (0.55, 1.0, 0.3), 0.695),
+                     ProbSeq("geo", c=0.25, gamma=0.5)]
+
+
+def assert_stage_table(sysm, table, depth):
+    """Entries 1..depth of ``table`` are the ``at`` oracles, bit for bit."""
+    d, p, c = table
+    assert len(d) == len(p) == len(c) > depth and d[0] is p[0] is c[0] is None
+    for r in range(1, depth + 1):
+        assert d[r] == sysm.base.at(r) and type(d[r]) is int
+        assert p[r].hex() == sysm.probs.at(r).hex()
+        assert c[r].hex() == (1.0 - sysm.probs.at(r)).hex()
+
+
+class TestStageTable:
+    @pytest.mark.parametrize("shift", [0, 3])
+    @pytest.mark.parametrize("probs", STAGE_TABLE_PROBS, ids=lambda q: q.kind)
+    @pytest.mark.parametrize("base", STAGE_TABLE_BASES, ids=lambda b: b.kind)
+    def test_matches_at_oracles(self, base, probs, shift):
+        sysm = FiberedSystem(base.shift(shift), probs.shift(shift))
+        for depth in (1, 7, 40, 200):
+            assert_stage_table(sysm, sysm.stages(depth), depth)
+
+    def test_grows_by_whole_rebuilds(self):
+        sysm = FiberedSystem(BaseSeq("even"), ProbSeq("const", (0.8,)))
+        first = sysm.stages(5)
+        size = len(first[0])
+        deeper = sysm.stages(size)
+        assert deeper is not first and len(first[0]) == size  # the old table is untouched
+        assert len(deeper[0]) - 1 >= 2 * (size - 1)
+        assert sysm.stages(size) is deeper  # no rebuild while deep enough
+        assert sysm == FiberedSystem(BaseSeq("even"), ProbSeq("const", (0.8,)))
+
+    def test_two_threads_grow_one_fresh_table(self):
+        depths = (64, 300)
+        for _ in range(20):
+            sysm = FiberedSystem(BaseSeq("even"), ProbSeq("geo", c=0.25, gamma=0.5))
+            start = threading.Barrier(2)
+
+            def grow(depth, sysm=sysm, start=start):
+                start.wait()
+                return sysm.stages(depth)
+
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                tables = list(pool.map(grow, depths))
+            for depth, table in zip(depths, tables):
+                assert_stage_table(sysm, table, depth)
+            assert_stage_table(sysm, sysm.stages(300), 300)
 
 
 class TestOrbit:
@@ -130,10 +184,11 @@ class TestStageValues:
     def test_power_consistency(self, lam):
         # composed stage value equals the normalized value to the d_r, while bounded
         vals = stage_values(SYS_37, lam, 20)
+        d = SYS_37.stages(20)[0]
         v = complex(lam)
         for r, i in enumerate(vals, start=1):
             f = stage_map(SYS_37, r, v)
-            rel = abs(f - i ** SYS_37.d(r)) / max(1.0, abs(f))
+            rel = abs(f - i ** d[r]) / max(1.0, abs(f))
             assert rel < 1e-12
             v = f
             if abs(v) > 1.0:
@@ -247,7 +302,7 @@ class TestWitnessEntries:
         sysm = FiberedSystem(parse_base_spec(spec[0]), parse_probs_spec(spec[1]))
         depth = len(to_digits(n - 1, sysm.base).digits)
         # 1 - p_1 has stage value 0, so 0**0 = 1 shows.
-        lams = [1.0 - sysm.p(1), point_spectrum(sysm, 2).all_roots()[1],
+        lams = [sysm.stages(1)[2][1], point_spectrum(sysm, 2).all_roots()[1],
                 *sample_bounded(sysm, 2, depth=200, seed=1)]
         for lam in lams:
             for t in sorted({1, 2, depth - 1, depth, depth + 3} - {-1, 0}):
@@ -518,11 +573,10 @@ def near_radius(sysm, depth, rng, count, k, ulps=40):
     if tau_k <= 0.0:
         return np.empty(0, dtype=complex)
     w = near_modulus(rng, tau_k, count, ulps)
+    d, p, c = sysm.stages(k)
     for r in range(k, 0, -1):
-        d = sysm.d(r)
-        branch = np.exp(2j * np.pi * rng.integers(0, d, count) / d)
-        w = sysm.center(r) + sysm.p(r) * (np.abs(w) ** (1.0 / d)
-                                          * np.exp(1j * np.angle(w) / d) * branch)
+        branch = np.exp(2j * np.pi * rng.integers(0, d[r], count) / d[r])
+        w = c[r] + p[r] * (np.abs(w) ** (1.0 / d[r]) * np.exp(1j * np.angle(w) / d[r]) * branch)
     return w
 
 
@@ -536,7 +590,7 @@ def probe_parameters(sysm, depth, rng):
     parts = [rng.uniform(-1.6, 1.6, (120, 2)).view(complex)[:, 0],
              unit_circle(rng, 60),
              near_radius(sysm, depth, rng, 60, min(first_radius(sysm, depth), 5)),
-             np.array([sysm.center(1), 1.0, 0.0])]
+             np.array([sysm.stages(1)[2][1], 1.0, 0.0])]
     if tau0 > 0.0:
         parts.append(near_modulus(rng, tau0, 60))
     return np.concatenate(parts)
@@ -588,7 +642,7 @@ class TestHostRounding:
         c = 1.0 - p
         x = z - c
         assert np.array_equal(x.imag, z.imag)
-        w = julia._rescale(FiberedSystem(BaseSeq("const", (2,)), ProbSeq("const", (p,))), 1, z)
+        w = julia._rescale(z, p, c)
         assert np.array_equal(w, x * (1.0 / p))
         assert np.array_equal(w, x / p)  # numpy's Smith division, up to the sign of a zero
         bound = (1 + Fraction(U)) ** 2

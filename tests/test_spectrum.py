@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -32,6 +33,9 @@ SYS_DISK = FiberedSystem(BaseSeq("const", (2,)), ProbSeq("const", (1.0,)))
 SYS_37 = FiberedSystem(BaseSeq("const", (3,)), ProbSeq("const", (0.7,)))
 SYS_GEO = FiberedSystem(BaseSeq("const", (2,)),
                         ProbSeq("geo", c=0.25, gamma=0.5))
+# Stage maps that scale by 1e8 for 41 stages: eigenvectors overflow, and no
+# backward chain certifies.
+SYS_TINY_P = FiberedSystem(BaseSeq("const", (2,)), ProbSeq("list", (1e-8,) * 41, 1.0))
 SYS_FIG3A = FiberedSystem(parse_base_spec(PRESETS["fig3a"][0]),
                           parse_probs_spec(PRESETS["fig3a"][1]))
 
@@ -244,6 +248,14 @@ class TestVerifyEigenpairs:
         rep = verify_eigenpairs(SYS_37, ps.all_roots(), 3**6, tol=1e-9)
         assert rep.ok
 
+    def test_nan_residual_fails(self):
+        roots = point_spectrum(SYS_TINY_P, 4).all_roots()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = verify_eigenpairs(SYS_TINY_P, roots, 2048, tol=1e-8)
+        assert any(math.isnan(resid) for _, resid in rep.residuals)
+        assert math.isnan(rep.max_residual) and not rep.ok
+
 
 class TestBoundaryDensity:
     def test_unit_circle_roots_converge(self):
@@ -346,8 +358,8 @@ def reference_sample(sysm, count, depth, seed, rejection_budget=None):
         if not orbit(sysm, lam, depth).escaped:
             out.append(lam)
     filled = len(out) == count
-    chain_depth = next((j - 1 for j in range(1, depth + 1) if sysm.d(j) > CHAIN_DEGREE_LIMIT),
-                       depth)
+    d = sysm.stages(depth)[0]
+    chain_depth = next((j - 1 for j in range(1, depth + 1) if d[j] > CHAIN_DEGREE_LIMIT), depth)
     while len(out) < count:
         lam, _, resid = _boundary_chain(sysm, chain_depth, rng)
         if resid < 1e-9:
@@ -374,6 +386,10 @@ class TestSampleBounded:
         lams = sample_bounded(SYS_DISK, 8, depth=100, seed=0)
         assert len(lams) == 8
         assert all(not orbit(SYS_DISK, lam, 100).escaped for lam in lams)
+
+    def test_chain_fill_stops_at_the_budget(self):
+        with pytest.raises(ValueError, match="4 backward chains failed certification"):
+            sample_bounded(SYS_TINY_P, 3, depth=200, seed=0, rejection_budget=4)
 
     def test_dust_set_falls_back_to_chains(self):
         lams = sample_bounded(SYS_37, 8, depth=200, seed=0)
