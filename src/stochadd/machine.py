@@ -29,6 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,15 +48,22 @@ RECURRENT = "null_recurrent_like"
 TRANSIENT = "transient_like"
 
 
-@dataclass(frozen=True)
-class TransitionRow:
-    """One row of the transition matrix: (target, probability) pairs, sorted."""
+class TransitionRow(NamedTuple):
+    """One row of the transition matrix: (target, probability) pairs, sorted,
+    and their exact (``math.fsum``) sum.
+
+    A named tuple: immutable, so a row of the cached ``rows`` view cannot
+    drift from its sum, and cheaper to build than a frozen dataclass.  Rows
+    compare as tuples; the sum is a function of the entries, so rows with
+    equal source and entries are equal.
+    """
 
     source: int
     entries: tuple[tuple[int, float], ...]
+    row_sum: float
 
     def total(self) -> float:
-        return math.fsum(p for _, p in self.entries)
+        return self.row_sum
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,11 +79,12 @@ class SparseTransitionMatrix:
 
     @functools.cached_property
     def rows(self) -> tuple[TransitionRow, ...]:
-        """Per-row view of the CSR arrays (built on first access)."""
+        """Per-row view of the CSR arrays, with each row's exact sum (built on
+        first access)."""
         bounds = self.csr.indptr.tolist()
         pairs = list(zip(self.csr.indices.tolist(), self.csr.data.tolist()))
-        return tuple(TransitionRow(n, tuple(pairs[lo:hi]))
-                     for n, (lo, hi) in enumerate(zip(bounds, bounds[1:])))
+        entries = (tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        return tuple(map(TransitionRow, range(self.dim), entries, _row_sums(self.csr).tolist()))
 
     def to_csr(self) -> sp.csr_matrix:
         return self.csr
@@ -122,7 +131,7 @@ def transition_row(n: int, base: BaseSeq, probs: ProbSeq) -> TransitionRow:
     if probs.at(1) < 1.0:
         entries.append((n, 1.0 - probs.at(1)))
     entries.append((n + 1, prefix[s_n]))
-    return TransitionRow(n, tuple(entries))
+    return TransitionRow(n, tuple(entries), math.fsum(q for _, q in entries))
 
 
 def _row_table(base: BaseSeq, probs: ProbSeq,
@@ -184,8 +193,27 @@ def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransiti
     return SparseTransitionMatrix(n_states, csr, base, probs, frozenset({n_states - 1}))
 
 
-def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, bool]]:
-    """Per-column (index, in-truncation sum, complete) triples.
+def _row_sums(csr: sp.csr_matrix) -> np.ndarray:
+    """``math.fsum`` of every row's data, bit for bit, one fsum per distinct row.
+
+    A row depends on its state only through the counter, so a truncation has
+    few distinct rows.  Rows of one length are grouped by their raw bytes,
+    not by counter: a perturbed entry, a -0.0 or a one-ulp change makes its
+    own group.  fsum is correctly rounded, so equal bytes give equal sums.
+    """
+    starts, lengths = csr.indptr[:-1], np.diff(csr.indptr)
+    sums = np.zeros(len(lengths))  # an empty row sums to 0.0, as fsum([]) does
+    for k in np.unique(lengths[lengths > 0]).tolist():
+        rows = np.flatnonzero(lengths == k)
+        block = csr.data[starts[rows, None] + np.arange(k)]
+        keys = block.view(np.dtype((np.void, block.itemsize * k))).ravel()
+        _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+        sums[rows] = np.array([math.fsum(block[i].tolist()) for i in first.tolist()])[group]
+    return sums
+
+
+def _column_sums(mat: SparseTransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(in-truncation sum, complete) of every column, as arrays.
 
     A column is complete when every row of the infinite matrix that feeds it
     lies inside the truncation.  Column m is fed by rows m and m-1 plus, for
@@ -201,20 +229,24 @@ def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, boo
     zero_place = np.ones(mat.dim, dtype=np.int64)
     for q in levels(mat.base, mat.dim - 1):
         zero_place[::q] = q
-    complete = (cols > 0) & (cols + zero_place - 1 < mat.dim)
+    return sums, (cols > 0) & (cols + zero_place - 1 < mat.dim)
+
+
+def column_sum_report(mat: SparseTransitionMatrix) -> list[tuple[int, float, bool]]:
+    """Per-column (index, in-truncation sum, complete) triples (``_column_sums``)."""
+    sums, complete = _column_sums(mat)
     return list(zip(range(mat.dim), sums.tolist(), complete.tolist()))
 
 
 def stochasticity_deviation(mat: SparseTransitionMatrix) -> tuple[float, float]:
     """(max |row sum - 1| over unclipped rows, max |column sum - 1| over
-    complete columns); both are 0 for an exactly stochastic truncation."""
-    csr = mat.to_csr()
-    data, bounds = csr.data.tolist(), csr.indptr.tolist()
-    row_dev = max((abs(math.fsum(data[bounds[n]:bounds[n + 1]]) - 1.0)
-                   for n in range(mat.dim) if n not in mat.clipped_rows), default=0.0)
-    col_dev = max((abs(total - 1.0) for _, total, complete in column_sum_report(mat)
-                   if complete), default=0.0)
-    return row_dev, col_dev
+    complete columns); both are 0 for an exactly stochastic truncation and
+    NaN when any of those sums is NaN."""
+    rows = _row_sums(mat.to_csr())[mat.unclipped_mask()]
+    cols, complete = _column_sums(mat)
+    # np.max propagates a NaN from any position; Python's max only from the first.
+    return (float(np.max(np.abs(rows - 1.0), initial=0.0)),
+            float(np.max(np.abs(cols[complete] - 1.0), initial=0.0)))
 
 
 def simulate(base: BaseSeq, probs: ProbSeq, start: int, steps: int, seed: int) -> Trajectory:

@@ -13,6 +13,7 @@ from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
 # 41 stages of probability 1e-8: stage maps that scale by 1e8.
 TINY_P = "plist:" + ",".join(["1e-8"] * 41) + ";tail=1"
 PINNED_VERIFY_STDOUT = json.loads((Path(__file__).parent / "verify_stdout.json").read_text())
+PINNED_MATRIX_STDOUT = json.loads((Path(__file__).parent / "matrix_stdout.json").read_text())
 
 
 def run(capsys, *argv):
@@ -61,6 +62,15 @@ class TestMatrix:
         body = out_path.read_text().splitlines()[1:]
         # pure successor shifts: one unit entry per unclipped row
         assert body == [f"{n} {n + 1} 1" for n in range(5)]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_MATRIX_STDOUT))
+    def test_stdout_is_pinned(self, capsys, case):
+        # The verdict printed when every row had its own math.fsum and the
+        # columns came from the list of triples: a moved last bit shows here.
+        base, probs, n = case.split(" ")
+        code, out, _ = run(capsys, "matrix", "--n", n, "--base", base, "--probs", probs)
+        assert code == 0
+        assert out.splitlines() == PINNED_MATRIX_STDOUT[case]
 
 
 class TestRender:

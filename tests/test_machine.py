@@ -122,12 +122,17 @@ class TestBuildMatrix:
         lost = set()
         sums = [0.0] * n
         for m, row in enumerate(mat.rows):
-            full = transition_row(m, base, probs).entries
+            oracle = transition_row(m, base, probs)
+            full = oracle.entries
             kept = tuple((t, p) for t, p in full if t < n)
             assert row.source == m
             assert row.entries == kept
             if len(kept) < len(full):
                 lost.add(m)
+            else:
+                # The view carries its sum, the oracle computes it: equal rows.
+                assert row == oracle
+                assert row.total().hex() == oracle.total().hex()
             for t, p in kept:
                 sums[t] += p
         assert mat.clipped_rows == lost
@@ -139,6 +144,33 @@ class TestBuildMatrix:
             zeros = next((i for i, a in enumerate(digits) if a), len(digits))
             assert total == sums[m]
             assert complete is (m > 0 and m + base_product(base, zeros) - 1 < n)
+
+    @given(list_bases(), list_probs(), st.integers(2, 500))
+    @settings(max_examples=100, deadline=None)
+    def test_row_sums_are_fsum_of_each_row(self, base, probs, n):
+        csr = build_matrix(n, base, probs).to_csr()
+        want = [math.fsum(csr.data[lo:hi].tolist())
+                for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:])]
+        assert [x.hex() for x in machine._row_sums(csr).tolist()] == [x.hex() for x in want]
+
+    def test_row_sums_group_by_content_not_counter(self):
+        # Rows 0 and 1 of base 3 share the counter 1: entries (n, 1 - 0.7),
+        # (n+1, 0.7), whose exact sum is 1.
+        mat = build_matrix(27, B3, ProbSeq("const", (0.7,)))
+        csr = mat.to_csr().copy()
+        lo, hi = csr.indptr[1], csr.indptr[2]
+        csr.data[hi - 1] = np.nextafter(0.7, 0.0)
+        sums = machine._row_sums(csr)
+        assert sums[1] == math.fsum(csr.data[lo:hi].tolist()) == 1.0 - 2.0**-53
+        assert sums[0] == 1.0
+        assert sums[2:].tolist() == machine._row_sums(mat.to_csr())[2:].tolist()
+
+    def test_rows_are_immutable(self):
+        # The view is cached and shared: a row whose entries could be swapped
+        # would keep a sum that no longer matches them.
+        row = build_matrix(9, B3, P_HALF).rows[4]
+        with pytest.raises(AttributeError):
+            row.entries = ()
 
     def test_operator_arrays_are_read_only(self):
         csr = build_matrix(9, B3, P_HALF).to_csr()
@@ -223,6 +255,18 @@ class TestColumnSums:
         row_dev, col_dev = stochasticity_deviation(dataclasses.replace(mat, csr=bad))
         assert row_dev == pytest.approx(0.25)
         assert col_dev == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("row", [0, 4, 7])
+    def test_stochasticity_deviation_keeps_nan(self, row):
+        # A NaN entry makes its row sum and its column sum NaN, wherever it
+        # falls; a verdict that dropped it would read 0 and pass.  Row n's
+        # first entry is its stay, in column n; column 0 is never complete.
+        mat = build_matrix(9, B3, P_HALF)
+        bad = mat.to_csr().copy()
+        bad.data[bad.indptr[row]] = np.nan
+        row_dev, col_dev = stochasticity_deviation(dataclasses.replace(mat, csr=bad))
+        assert math.isnan(row_dev)
+        assert math.isnan(col_dev) if row else col_dev == 0.0
 
 
 def reference_path(base, probs, start, steps, seed):
