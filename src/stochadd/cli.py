@@ -232,11 +232,20 @@ def _suite_witness(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     return worst_slack <= 0.0, f"n={n} worst_over_bound={worst_slack:.17g}"
 
 
+# Disk draws the factorization suite may spend on its 100 bounded cases; the
+# presets need at most 5 255 (fig8a) over seeds 0-20.
+FACTORIZATION_DRAWS = 100_000
+
+
 def _suite_factorization(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     rng = np.random.default_rng(seed)
     worst = 0.0
     kept = 0
+    draws = 0
     while kept < 100:
+        if draws == FACTORIZATION_DRAWS:
+            raise ValueError(f"{draws} draws gave {kept} of 100 bounded cases")
+        draws += 1
         # uniform(-1, 1) draws -1 + 2u for the same double u, and 2u is exact:
         # the same stream and the same bits as complex(*rng.uniform(-1, 1, size=2)).
         lam = complex(-1.0 + 2.0 * rng.random(), -1.0 + 2.0 * rng.random())

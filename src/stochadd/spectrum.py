@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .julia import (
     DEFAULT_DEPTH,
@@ -103,13 +102,32 @@ def _dedup(roots: np.ndarray, tol: float) -> np.ndarray:
 
     Greedy in input order: a root z is dropped exactly when some earlier kept
     root a has ``abs(a - z) <= tol``, with Python's ``abs`` of a complex.
-    Candidate pairs come from a KD-tree at radius ``2 * tol``, so a pair the
-    tree's own distance rounds past ``tol`` is still found; the predicate then
-    decides.  It is evaluated as ``np.hypot``, which is the libm ``hypot``
+    The predicate is evaluated as ``np.hypot``, which is the libm ``hypot``
     behind ``abs``; ``np.abs`` of a complex array can differ in the last bit.
+
+    Candidate pairs come from one sweep over the roots sorted by (real,
+    imag): the candidates of a sorted root are the roots after it whose real
+    part is at most ``re + 2 * tol`` in floating point.  Every pair the
+    predicate accepts is among them.  ``hypot`` is never below the modulus of
+    either part, so an accepted pair has ``fl(re_b - re_a) <= tol``, hence
+    exactly ``re_b - re_a < 2 * tol``, and rounding ``re_a + 2 * tol`` to the
+    nearest double cannot fall below the double ``re_b``.  The sort is
+    stable, so it is also the output order.  The work is linear in the
+    number of candidates, which on the presets is about half the roots (the
+    conjugate pairs); roots crowding one real part would make it quadratic.
+    Non-finite roots raise ``ValueError``: they have no place in the sweep.
     """
     z = np.asarray(roots, dtype=complex).reshape(-1)
-    pairs = cKDTree(np.column_stack([z.real, z.imag])).query_pairs(2 * tol, output_type="ndarray")
+    if not np.isfinite(z).all():
+        raise ValueError("roots must be finite, check for nan or inf values")
+    order = np.lexsort((z.imag, z.real))
+    re = z.real[order]
+    # sorted position a has the candidates a + 1, ..., a + width[a]
+    after = np.arange(1, z.size + 1)
+    width = np.searchsorted(re, re + 2 * tol, side="right") - after
+    first = np.repeat(after - 1, width)
+    second = np.arange(first.size) + np.repeat(after - (np.cumsum(width) - width), width)
+    pairs = np.sort(np.column_stack([order[first], order[second]]), axis=1)
     diff = z[pairs[:, 0]] - z[pairs[:, 1]]
     pairs = pairs[np.hypot(diff.real, diff.imag) <= tol]
     keep = np.ones(z.size, dtype=bool)
@@ -117,8 +135,7 @@ def _dedup(roots: np.ndarray, tol: float) -> np.ndarray:
     for i, j in pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))].tolist():
         if keep[i]:
             keep[j] = False
-    kept = z[keep]
-    return kept[np.lexsort((kept.imag, kept.real))]
+    return z[order[keep[order]]]
 
 
 def point_spectrum(sys: FiberedSystem, r_max: int, cap: int = ROOT_CAP) -> PointSpectrum:
@@ -180,11 +197,17 @@ def boundary_density(grid: MembershipGrid, rootsets) -> tuple[float, float]:
     roots = np.concatenate([np.asarray(rs.roots, dtype=complex) for rs in rootsets])
     if roots.size == 0:
         raise ValueError("no roots supplied")
+    # Imported here, its one user, so that importing stochadd does not load it.
+    from scipy.spatial import cKDTree
+
     centers = grid.center_at(pix[:, 0], pix[:, 1])
     cpts = np.column_stack([centers.real, centers.imag])
     rpts = np.column_stack([roots.real, roots.imag])
-    dist_to_root, _ = cKDTree(rpts).query(cpts)
-    dist_to_boundary, _ = cKDTree(cpts).query(rpts)
+    # Each tree answers one query, so balancing it costs more than it saves;
+    # a nearest distance does not depend on the tree's shape.
+    unbalanced = {"balanced_tree": False, "compact_nodes": False}
+    dist_to_root, _ = cKDTree(rpts, **unbalanced).query(cpts)
+    dist_to_boundary, _ = cKDTree(cpts, **unbalanced).query(rpts)
     coverage = float(np.mean(dist_to_boundary <= 2.0 * grid.pixel_diag()))
     return float(dist_to_root.max()), coverage
 

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stochadd
 from stochadd import julia
 from stochadd.cli import PRESETS, _escape_samples, main
 from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
@@ -231,6 +235,14 @@ class TestVerify:
         assert code == 1
         assert out.startswith("FAIL witness custom error=")
 
+    def test_factorization_without_bounded_draws_fails(self, capsys):
+        # Every disk draw escapes, so only the draw budget ends the suite.
+        code, out, _ = run(capsys, "verify", "--suite", "factorization", "--base", "const:2",
+                           "--probs", TINY_P, "--seed", "0")
+        assert code == 1
+        assert out == ("FAIL factorization custom "
+                       "error=100000 draws gave 0 of 100 bounded cases\n")
+
     @pytest.mark.parametrize("seed", [1, 7, 20])
     @pytest.mark.parametrize("suite", ["factorization", "witness", "transient"])
     def test_stdout_is_pinned(self, capsys, suite, seed):
@@ -249,6 +261,18 @@ class TestFactorizationDraws:
         got = np.array([-1.0 + 2.0 * rng.random() for _ in range(100_000)])
         want = np.random.default_rng(seed).uniform(-1, 1, size=100_000)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # Only boundary_density needs scipy.spatial, and it imports it itself.
+    src = Path(stochadd.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, stochadd.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=60)
+    assert proc.stdout == "[]\n"
 
 
 class TestReport:

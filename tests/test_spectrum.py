@@ -8,7 +8,15 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from stochadd.cli import PRESETS
-from stochadd.julia import DEFAULT_WINDOW, FiberedSystem, band_depth, orbit, render, stage_map
+from stochadd.julia import (
+    DEFAULT_WINDOW,
+    FiberedSystem,
+    band_depth,
+    boundary_pixels,
+    orbit,
+    render,
+    stage_map,
+)
 from stochadd.numeration import BaseSeq, ProbSeq, parse_base_spec, parse_probs_spec
 from stochadd.spectrum import (
     CHAIN_DEGREE_LIMIT,
@@ -54,13 +62,17 @@ def dedup_oracle(roots, tol):
 @st.composite
 def root_clouds(draw, tol):
     """Clusters of duplicates, ulp and tol-edge offsets, and a-b-c chains
-    whose ends lie more than tol apart, in a permuted input order."""
+    whose ends lie more than tol apart, in a permuted input order.  Some
+    clusters sit at |re| >= 2**19, where one ulp of the real part exceeds
+    DEDUP_TOL and ``re + 2 * tol`` rounds to within an ulp or two of ``re``."""
     finite = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    far = st.one_of(st.floats(2.0**19, 2.0**24), st.floats(-2.0**24, -2.0**19))
     lattice = st.builds(lambda i, j, h: complex(i, j) * h * tol,
                         st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([0.5, 0.7]))
     pts = []
     for _ in range(draw(st.integers(0, 6))):
-        c = draw(st.one_of(st.builds(complex, finite, finite), lattice))
+        c = draw(st.one_of(st.builds(complex, finite, finite), lattice,
+                           st.builds(complex, far, finite)))
         kind = draw(st.sampled_from(["dup", "ulp", "edge", "chain"]))
         if kind == "dup":
             pts += [c] * draw(st.integers(1, 4))
@@ -208,6 +220,13 @@ class TestDedup:
         assert _dedup(np.array([a, b, c], dtype=complex), 1e-10).tolist() == [a, c]
         assert _dedup(np.array([b, a, c], dtype=complex), 1e-10).tolist() == [b]
 
+    def test_window_holds_a_difference_that_rounds_to_tol(self):
+        # b - a exceeds tol exactly but rounds to it, and a + tol rounds below b:
+        # a sweep window of re + tol would miss this merge.
+        a, b = -9.900000000000001e-11, 1e-12
+        assert abs(complex(b) - a) <= 1e-10 and a + 1e-10 < b
+        assert _dedup(np.array([b, a], dtype=complex), 1e-10).tolist() == [b]
+
     @given(st.sampled_from([DEDUP_TOL, 1e-3]).flatmap(
         lambda tol: st.tuples(st.just(tol), root_clouds(tol))))
     @settings(max_examples=300, deadline=None)
@@ -218,6 +237,13 @@ class TestDedup:
         want = dedup_oracle(roots, tol)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                     complex(np.inf, np.nan)])
+    def test_non_finite_roots_raise(self, bad):
+        roots = np.array([1 + 1j, bad, 1 + 1j, 0.5], dtype=complex)
+        with pytest.raises(ValueError, match="roots must be finite"):
+            _dedup(roots, DEDUP_TOL)
 
     def test_quiet_under_warnings_as_errors(self):
         band = render(SYS_FIG3A, DEFAULT_WINDOW, (128, 128), band_depth((128, 128)))
@@ -272,9 +298,24 @@ class TestBoundaryDensity:
                         np.argwhere(~grid.escaped)])
         rs = RootSet(1, np.array([1.0 + 0j]))
         sup, cov = boundary_density(grid, rs)
-        from stochadd.julia import boundary_pixels
         centers = np.array([grid.center_at(r, c) for r, c in boundary_pixels(grid)])
         assert sup == pytest.approx(np.abs(centers - 1.0).max())
+
+    @pytest.mark.parametrize("preset, depth", [("fig3a", 8), ("fig6a", 5), ("fig8a", 5),
+                                               ("fig10a", 7)])
+    def test_matches_balanced_tree_bit_for_bit(self, preset, depth):
+        sysm = FiberedSystem(parse_base_spec(PRESETS[preset][0]),
+                             parse_probs_spec(PRESETS[preset][1]))
+        grid = render(sysm, DEFAULT_WINDOW, (256, 256), band_depth((256, 256)))
+        rootsets = list(point_spectrum(sysm, depth).levels)
+        centers = np.array([grid.center_at(r, c) for r, c in boundary_pixels(grid)])
+        roots = np.concatenate([rs.roots for rs in rootsets])
+        cpts = np.column_stack([centers.real, centers.imag])
+        rpts = np.column_stack([roots.real, roots.imag])
+        sup = cKDTree(rpts).query(cpts)[0].max()
+        near = cKDTree(cpts).query(rpts)[0] <= 2.0 * grid.pixel_diag()
+        got = boundary_density(grid, rootsets)
+        assert [x.hex() for x in got] == [float(sup).hex(), float(np.mean(near)).hex()]
 
     def test_empty_boundary_raises(self):
         grid = render(SYS_DISK, (-0.2, 0.2, -0.2, 0.2), (16, 16), 10)
