@@ -232,7 +232,8 @@ def _suite_witness(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     return worst_slack <= 0.0, f"n={n} worst_over_bound={worst_slack:.17g}"
 
 
-# Disk draws the factorization suite may spend on its 100 bounded cases; the
+# Draws from the square [-1, 1]^2 the factorization suite may spend on its 100
+# bounded cases, counting those outside the unit disk that it rejects; the
 # presets need at most 5 255 (fig8a) over seeds 0-20.
 FACTORIZATION_DRAWS = 100_000
 

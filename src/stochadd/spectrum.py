@@ -34,6 +34,9 @@ from .numeration import ProbSeq, largest_level, levels
 
 DEDUP_TOL = 1e-10
 ROOT_CAP = 200_000
+# _dedup's sorted sweep may enumerate this many candidate pairs per root
+# before it turns to a KD-tree.
+SWEEP_PAIRS_PER_ROOT = 4
 NEWTON_STEPS = 3  # composed Newton steps per depth
 INTERIOR_EROSION = 3  # 4-neighbor erosions that leave the deep interior
 INTERIOR_THRESHOLD = 0.1  # deep-interior moduli must collapse below this
@@ -112,10 +115,17 @@ def _dedup(roots: np.ndarray, tol: float) -> np.ndarray:
     either part, so an accepted pair has ``fl(re_b - re_a) <= tol``, hence
     exactly ``re_b - re_a < 2 * tol``, and rounding ``re_a + 2 * tol`` to the
     nearest double cannot fall below the double ``re_b``.  The sort is
-    stable, so it is also the output order.  The work is linear in the
-    number of candidates, which on the presets is about half the roots (the
-    conjugate pairs); roots crowding one real part would make it quadratic.
-    Non-finite roots raise ``ValueError``: they have no place in the sweep.
+    stable, so it is also the output order.
+
+    The window bounds the real part only, so roots crowding one real part
+    would make its candidates quadratic in their number.  The candidates
+    are counted first (one sum); past ``SWEEP_PAIRS_PER_ROOT`` per root, a
+    KD-tree finds the pairs within ``2 * tol`` instead, again a superset of
+    the accepted pairs, and bounded in both parts.  The predicate keeps the
+    same pairs either way, so the result does not depend on the route.  On
+    the presets the sweep finds about half a candidate per root (the
+    conjugate pairs), at most 3 in one window.  Non-finite roots raise
+    ``ValueError``: they have no place in the sweep.
     """
     z = np.asarray(roots, dtype=complex).reshape(-1)
     if not np.isfinite(z).all():
@@ -125,9 +135,15 @@ def _dedup(roots: np.ndarray, tol: float) -> np.ndarray:
     # sorted position a has the candidates a + 1, ..., a + width[a]
     after = np.arange(1, z.size + 1)
     width = np.searchsorted(re, re + 2 * tol, side="right") - after
-    first = np.repeat(after - 1, width)
-    second = np.arange(first.size) + np.repeat(after - (np.cumsum(width) - width), width)
-    pairs = np.sort(np.column_stack([order[first], order[second]]), axis=1)
+    if width.sum() <= SWEEP_PAIRS_PER_ROOT * z.size:
+        first = np.repeat(after - 1, width)
+        second = np.arange(first.size) + np.repeat(after - (np.cumsum(width) - width), width)
+        pairs = np.sort(np.column_stack([order[first], order[second]]), axis=1)
+    else:
+        from scipy.spatial import cKDTree
+
+        pairs = cKDTree(np.column_stack([z.real, z.imag])).query_pairs(
+            2 * tol, output_type="ndarray")
     diff = z[pairs[:, 0]] - z[pairs[:, 1]]
     pairs = pairs[np.hypot(diff.real, diff.imag) <= tol]
     keep = np.ones(z.size, dtype=bool)
@@ -197,7 +213,7 @@ def boundary_density(grid: MembershipGrid, rootsets) -> tuple[float, float]:
     roots = np.concatenate([np.asarray(rs.roots, dtype=complex) for rs in rootsets])
     if roots.size == 0:
         raise ValueError("no roots supplied")
-    # Imported here, its one user, so that importing stochadd does not load it.
+    # Imported where it is used, so that importing stochadd does not load it.
     from scipy.spatial import cKDTree
 
     centers = grid.center_at(pix[:, 0], pix[:, 1])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -21,6 +22,7 @@ from stochadd.numeration import BaseSeq, ProbSeq, parse_base_spec, parse_probs_s
 from stochadd.spectrum import (
     CHAIN_DEGREE_LIMIT,
     DEDUP_TOL,
+    SWEEP_PAIRS_PER_ROOT,
     PointSpectrum,
     RootSet,
     _boundary_chain,
@@ -237,6 +239,56 @@ class TestDedup:
         want = dedup_oracle(roots, tol)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+    @given(st.sampled_from([DEDUP_TOL, 1e-3]).flatmap(
+        lambda tol: st.tuples(st.just(tol), root_clouds(tol),
+                              st.floats(-2, 2), st.floats(0.3, 1.2), st.randoms())))
+    @settings(max_examples=60, deadline=None)
+    def test_crowded_real_part_matches_greedy_oracle(self, case):
+        # 100 roots on one real part (some an ulp off it), spaced about tol
+        # apart in imag: more sweep candidates than the budget allows.
+        tol, pts, re, step, rnd = case
+        crowd = [complex(np.nextafter(re, np.inf) if rnd.random() < 0.3 else re, k * step * tol)
+                 for k in range(100)]
+        pts = pts + crowd
+        rnd.shuffle(pts)
+        roots = np.asarray(pts, dtype=complex).reshape(-1)
+        assert 100 * 99 // 2 > SWEEP_PAIRS_PER_ROOT * roots.size
+        got = _dedup(roots, tol)
+        want = dedup_oracle(roots, tol)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_crowded_real_part_memory_is_linear(self):
+        # 3 000 roots on re = 0.3: a window on the real part alone holds about
+        # 4.5e6 candidate pairs, 36 MB for one int64 column of them.
+        n = 3000
+        re = np.where(np.arange(n) % 2, 0.3, np.nextafter(0.3, 1.0))
+        roots = re + 1j * np.linspace(-1.0, 1.0, n)
+        _dedup(roots[:100], DEDUP_TOL)  # the KD-tree route's import, untraced
+        tracemalloc.start()
+        try:
+            got = _dedup(roots, DEDUP_TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.size == n
+        assert peak < 1000 * n
+
+    def test_crowded_spectrum_memory_is_linear(self):
+        # The inner stages (d = 2, p = 0.4) have real roots, and d = 4 in the
+        # first stage puts half of the depth-12 roots at re ~ 0.3, within an ulp.
+        sysm = FiberedSystem(parse_base_spec("list:4;tail=2"),
+                             parse_probs_spec("plist:0.7;tail=0.4"))
+        point_spectrum(sysm, 6)  # the KD-tree route's import, untraced
+        tracemalloc.start()
+        try:
+            ps = point_spectrum(sysm, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ps.all_roots().size == 4 * 2**11
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
                                      complex(np.inf, np.nan)])
