@@ -3,8 +3,10 @@
 Eigenvalues of the transition operator are exactly the parameters some
 composed stage map sends to 1; they are enumerated by backward iteration
 (stage-wise d-th roots pulled from 1) and polished by Newton steps on the
-composed map.  Backward iteration is the numerically stable direction near
-the repelling boundary of the bounded set, which is also why the transient
+composed map.  Depth r yields the q_r roots of f~_r - 1 with multiplicity:
+a multiple root is a multiple eigenvalue, not a duplicate, and is listed as
+often as it counts.  Backward iteration is the numerically stable direction
+near the repelling boundary of the bounded set, which is also why the transient
 limit probe reads stage moduli off verified backward chains rather than
 re-running the (exponentially ill-conditioned) forward orbit.
 """
@@ -32,11 +34,7 @@ from .julia import (
 from .machine import RECURRENT, TRANSIENT, SparseTransitionMatrix, build_matrix, classify_chain
 from .numeration import ProbSeq, largest_level, levels
 
-DEDUP_TOL = 1e-10
 ROOT_CAP = 200_000
-# _dedup's sorted sweep may enumerate this many candidate pairs per root
-# before it turns to a KD-tree.
-SWEEP_PAIRS_PER_ROOT = 4
 NEWTON_STEPS = 3  # composed Newton steps per depth
 INTERIOR_EROSION = 3  # 4-neighbor erosions that leave the deep interior
 INTERIOR_THRESHOLD = 0.1  # deep-interior moduli must collapse below this
@@ -45,7 +43,8 @@ BAND_SLACK = 0.05  # allowance below 2 * prod p - 1 for boundary stage moduli
 
 @dataclass(frozen=True)
 class RootSet:
-    """Distinct depth-r preimages of 1 under the composed stage map."""
+    """The q_r depth-r preimages of 1 under the composed stage map, with
+    multiplicity, sorted by (real, imag)."""
 
     depth: int
     roots: np.ndarray
@@ -100,63 +99,11 @@ def _composed_newton(sys: FiberedSystem, z: np.ndarray, depth: int) -> np.ndarra
     return z
 
 
-def _dedup(roots: np.ndarray, tol: float) -> np.ndarray:
-    """Roots with near-duplicates removed, sorted by (real, imag).
-
-    Greedy in input order: a root z is dropped exactly when some earlier kept
-    root a has ``abs(a - z) <= tol``, with Python's ``abs`` of a complex.
-    The predicate is evaluated as ``np.hypot``, which is the libm ``hypot``
-    behind ``abs``; ``np.abs`` of a complex array can differ in the last bit.
-
-    Candidate pairs come from one sweep over the roots sorted by (real,
-    imag): the candidates of a sorted root are the roots after it whose real
-    part is at most ``re + 2 * tol`` in floating point.  Every pair the
-    predicate accepts is among them.  ``hypot`` is never below the modulus of
-    either part, so an accepted pair has ``fl(re_b - re_a) <= tol``, hence
-    exactly ``re_b - re_a < 2 * tol``, and rounding ``re_a + 2 * tol`` to the
-    nearest double cannot fall below the double ``re_b``.  The sort is
-    stable, so it is also the output order.
-
-    The window bounds the real part only, so roots crowding one real part
-    would make its candidates quadratic in their number.  The candidates
-    are counted first (one sum); past ``SWEEP_PAIRS_PER_ROOT`` per root, a
-    KD-tree finds the pairs within ``2 * tol`` instead, again a superset of
-    the accepted pairs, and bounded in both parts.  The predicate keeps the
-    same pairs either way, so the result does not depend on the route.  On
-    the presets the sweep finds about half a candidate per root (the
-    conjugate pairs), at most 3 in one window.  Non-finite roots raise
-    ``ValueError``: they have no place in the sweep.
-    """
-    z = np.asarray(roots, dtype=complex).reshape(-1)
-    if not np.isfinite(z).all():
-        raise ValueError("roots must be finite, check for nan or inf values")
-    order = np.lexsort((z.imag, z.real))
-    re = z.real[order]
-    # sorted position a has the candidates a + 1, ..., a + width[a]
-    after = np.arange(1, z.size + 1)
-    width = np.searchsorted(re, re + 2 * tol, side="right") - after
-    if width.sum() <= SWEEP_PAIRS_PER_ROOT * z.size:
-        first = np.repeat(after - 1, width)
-        second = np.arange(first.size) + np.repeat(after - (np.cumsum(width) - width), width)
-        pairs = np.sort(np.column_stack([order[first], order[second]]), axis=1)
-    else:
-        from scipy.spatial import cKDTree
-
-        pairs = cKDTree(np.column_stack([z.real, z.imag])).query_pairs(
-            2 * tol, output_type="ndarray")
-    diff = z[pairs[:, 0]] - z[pairs[:, 1]]
-    pairs = pairs[np.hypot(diff.real, diff.imag) <= tol]
-    keep = np.ones(z.size, dtype=bool)
-    # by (later, earlier) index, so keep[i] is final before a pair reads it
-    for i, j in pairs[np.lexsort((pairs[:, 0], pairs[:, 1]))].tolist():
-        if keep[i]:
-            keep[j] = False
-    return z[order[keep[order]]]
-
-
 def point_spectrum(sys: FiberedSystem, r_max: int, cap: int = ROOT_CAP) -> PointSpectrum:
-    """Depth-by-depth preimages of 1 under the composed maps, polished and
-    deduplicated; stops with partial results once a depth would exceed ``cap``."""
+    """Depth-by-depth preimages of 1 under the composed maps, polished: the
+    q_r roots of f~_r - 1, with multiplicity, so a root of multiplicity m is
+    listed m times.  Stops with partial results once a depth would exceed
+    ``cap``; non-finite roots raise ``ValueError``."""
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
     # Depth r has q_r = prod_{i<=r} d_i candidate roots, so it fits the cap
@@ -168,7 +115,9 @@ def point_spectrum(sys: FiberedSystem, r_max: int, cap: int = ROOT_CAP) -> Point
         for j in range(depth, 0, -1):
             w = _preimage_array(sys, j, w).reshape(-1)
         w = _composed_newton(sys, w, depth)
-        sets.append(RootSet(depth, _dedup(w, DEDUP_TOL)))
+        if not np.isfinite(w).all():
+            raise ValueError("roots must be finite, check for nan or inf values")
+        sets.append(RootSet(depth, w[np.lexsort((w.imag, w.real))]))
     return PointSpectrum(tuple(sets), depth_max < r_max)
 
 
@@ -204,12 +153,12 @@ def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9) -> E
 
 def boundary_density(grid: MembershipGrid, rootsets) -> tuple[float, float]:
     """(sup over boundary pixels of distance to the nearest root,
-    fraction of roots within two pixel diagonals of a boundary pixel)."""
+    fraction of roots within two pixel diagonals of a boundary pixel) over
+    the roots of every root set; coverage counts each root with its
+    multiplicity."""
     pix = boundary_pixels(grid)
     if pix.size == 0:
         raise ValueError("grid has no boundary pixels")
-    if isinstance(rootsets, RootSet):
-        rootsets = [rootsets]
     roots = np.concatenate([np.asarray(rs.roots, dtype=complex) for rs in rootsets])
     if roots.size == 0:
         raise ValueError("no roots supplied")

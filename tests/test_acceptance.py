@@ -126,7 +126,7 @@ def test_criterion_03_eigenpair_verification():
         sys_half = _system("const:2", "pconst:0.5")
         ps = point_spectrum(sys_half, 2)
         roots = ps.all_roots()
-        assert np.allclose(sorted(z.real for z in roots), [0.0, 0.5, 1.0],
+        assert np.allclose(sorted(z.real for z in roots), [0.0, 0.5, 0.5, 1.0],
                            atol=1e-12)
         rep = verify_eigenpairs(sys_half, roots, 2**12, tol=1e-9)
         assert rep.ok, f"max residual {rep.max_residual}"

@@ -132,7 +132,7 @@ class TestRoots:
         assert lines[0] == "depth,re,im"
         values = sorted(float(l.split(",")[1]) for l in lines[1:]
                         if l.startswith("2,"))
-        assert np.allclose(values, [0.0, 0.5, 1.0], atol=1e-12)
+        assert np.allclose(values, [0.0, 0.5, 0.5, 1.0], atol=1e-12)
 
     def test_always_contains_one(self, capsys, tmp_path):
         path = tmp_path / "roots.csv"

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from stochadd import spectrum
 from stochadd.cli import PRESETS
 from stochadd.julia import (
     DEFAULT_WINDOW,
@@ -18,15 +19,12 @@ from stochadd.julia import (
     render,
     stage_map,
 )
-from stochadd.numeration import BaseSeq, ProbSeq, parse_base_spec, parse_probs_spec
+from stochadd.numeration import BaseSeq, ProbSeq, levels, parse_base_spec, parse_probs_spec
 from stochadd.spectrum import (
     CHAIN_DEGREE_LIMIT,
-    DEDUP_TOL,
-    SWEEP_PAIRS_PER_ROOT,
     PointSpectrum,
     RootSet,
     _boundary_chain,
-    _dedup,
     _deep_interior_mask,
     _preimage_array,
     boundary_density,
@@ -50,55 +48,13 @@ SYS_FIG3A = FiberedSystem(parse_base_spec(PRESETS["fig3a"][0]),
                           parse_probs_spec(PRESETS["fig3a"][1]))
 
 
-def dedup_oracle(roots, tol):
-    """The definition: greedy in input order, abs(a - b) <= tol, sorted output."""
-    kept = []
-    for z in roots:
-        z = complex(z)
-        if all(abs(z - a) > tol for a in kept):
-            kept.append(z)
-    kept.sort(key=lambda z: (z.real, z.imag))
-    return np.asarray(kept, dtype=complex)
-
-
-@st.composite
-def root_clouds(draw, tol):
-    """Clusters of duplicates, ulp and tol-edge offsets, and a-b-c chains
-    whose ends lie more than tol apart, in a permuted input order.  Some
-    clusters sit at |re| >= 2**19, where one ulp of the real part exceeds
-    DEDUP_TOL and ``re + 2 * tol`` rounds to within an ulp or two of ``re``."""
-    finite = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
-    far = st.one_of(st.floats(2.0**19, 2.0**24), st.floats(-2.0**24, -2.0**19))
-    lattice = st.builds(lambda i, j, h: complex(i, j) * h * tol,
-                        st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([0.5, 0.7]))
-    pts = []
-    for _ in range(draw(st.integers(0, 6))):
-        c = draw(st.one_of(st.builds(complex, finite, finite), lattice,
-                           st.builds(complex, far, finite)))
-        kind = draw(st.sampled_from(["dup", "ulp", "edge", "chain"]))
-        if kind == "dup":
-            pts += [c] * draw(st.integers(1, 4))
-        elif kind == "ulp":
-            for _ in range(draw(st.integers(1, 4))):
-                toward = draw(st.sampled_from([-np.inf, np.inf]))
-                if draw(st.booleans()):
-                    c = complex(np.nextafter(c.real, toward), c.imag)
-                else:
-                    c = complex(c.real, np.nextafter(c.imag, toward))
-                pts.append(c)
-        else:
-            u = np.exp(1j * draw(st.sampled_from([0.0, np.pi / 2, np.pi / 4]) | finite))
-            if kind == "edge":
-                pts += [c, c + tol * (1 + draw(st.sampled_from([-1e-6, 0.0, 1e-6]))) * u]
-            else:
-                step = draw(st.floats(0.55, 1.0)) * tol
-                pts += [c, c + step * u, c + 2 * step * u]
-    return draw(st.permutations(pts))
-
-
 def all_roots_oracle(ps):
-    """``all_roots`` by its definition: every level's roots, deduplicated."""
-    return _dedup(np.concatenate([level.roots for level in ps.levels]), DEDUP_TOL)
+    """``all_roots`` by its definition, the union of the levels: the deepest
+    level, once every shallower level lies within 1e-10 of it."""
+    deepest = ps.levels[-1].roots
+    for level in ps.levels[:-1]:
+        assert max_gap(level.roots, deepest) <= 1e-10
+    return deepest
 
 
 def max_gap(src, dst):
@@ -140,8 +96,9 @@ class TestPointSpectrum:
         ps = point_spectrum(SYS_HALF, 2)
         assert np.allclose(sorted(ps.levels[0].roots, key=lambda z: z.real),
                            [0.0, 1.0], atol=1e-12)
+        # 0.5, the critical point of f_1, is a double root of f~_2 - 1: f_2(f_1(0.5)) = f_2(0) = 1
         assert np.allclose(sorted(ps.levels[1].roots, key=lambda z: z.real),
-                           [0.0, 0.5, 1.0], atol=1e-12)
+                           [0.0, 0.5, 0.5, 1.0], atol=1e-12)
 
     def test_always_contains_one(self):
         for sysm in (SYS_HALF, SYS_37, SYS_GEO):
@@ -172,10 +129,23 @@ class TestPointSpectrum:
         sysm = FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
         ps = point_spectrum(sysm, 3 if base_spec in ("even", "fib") else 5)
         for a, b in zip(ps.levels, ps.levels[1:]):
-            assert max_gap(a.roots, b.roots) <= DEDUP_TOL
-        got, want = ps.all_roots(), all_roots_oracle(ps)
-        assert got.shape == want.shape
-        assert max(max_gap(got, want), max_gap(want, got)) <= DEDUP_TOL
+            assert max_gap(a.roots, b.roots) <= 1e-10
+        assert ps.all_roots().tobytes() == all_roots_oracle(ps).tobytes()
+
+    @pytest.mark.parametrize("base_spec, probs_spec, r_max",
+                             [(*PRESETS[name], None) for name in sorted(PRESETS)]
+                             + [("const:2", "pconst:0.5", 8)])
+    def test_root_sum_is_trace(self, base_spec, probs_spec, r_max):
+        # The depth-s roots are the eigenvalues of S_s, the machine mod q_s,
+        # with multiplicity. Only the stay 1 - p_1 lies on its diagonal, so
+        # they sum to q_s (1 - p_1). A lost or merged root moves the sum by
+        # about its modulus; at p = 1/2 the binary machine has double roots.
+        sysm = FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+        qs = levels(sysm.base, 2000)[:r_max]
+        ps = point_spectrum(sysm, len(qs), cap=2000)
+        assert [len(level.roots) for level in ps.levels] == qs
+        for q, level in zip(qs, ps.levels):
+            assert abs(level.roots.sum() - q * (1.0 - sysm.probs.at(1))) <= 1e-12 * q
 
     def test_cap_flags_partial(self):
         ps = point_spectrum(SYS_HALF, 10, cap=8)
@@ -211,76 +181,15 @@ class TestPointSpectrum:
 
 
 class TestDedup:
-    def test_pair_exactly_tol_apart_merges(self):
-        # a bucket grid of width tol rounds these to buckets 0 and 2
-        z = np.array([0.5e-10, 1.5e-10], dtype=complex)
-        assert abs(z[1] - z[0]) <= 1e-10
-        assert _dedup(z, 1e-10).tolist() == [0.5e-10]
-
-    def test_chain_order_decides(self):
-        a, b, c = 0.0, 0.6e-10, 1.2e-10
-        assert _dedup(np.array([a, b, c], dtype=complex), 1e-10).tolist() == [a, c]
-        assert _dedup(np.array([b, a, c], dtype=complex), 1e-10).tolist() == [b]
-
-    def test_window_holds_a_difference_that_rounds_to_tol(self):
-        # b - a exceeds tol exactly but rounds to it, and a + tol rounds below b:
-        # a sweep window of re + tol would miss this merge.
-        a, b = -9.900000000000001e-11, 1e-12
-        assert abs(complex(b) - a) <= 1e-10 and a + 1e-10 < b
-        assert _dedup(np.array([b, a], dtype=complex), 1e-10).tolist() == [b]
-
-    @given(st.sampled_from([DEDUP_TOL, 1e-3]).flatmap(
-        lambda tol: st.tuples(st.just(tol), root_clouds(tol))))
-    @settings(max_examples=300, deadline=None)
-    def test_matches_greedy_oracle(self, case):
-        tol, pts = case
-        roots = np.asarray(pts, dtype=complex).reshape(-1)
-        got = _dedup(roots, tol)
-        want = dedup_oracle(roots, tol)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    @given(st.sampled_from([DEDUP_TOL, 1e-3]).flatmap(
-        lambda tol: st.tuples(st.just(tol), root_clouds(tol),
-                              st.floats(-2, 2), st.floats(0.3, 1.2), st.randoms())))
-    @settings(max_examples=60, deadline=None)
-    def test_crowded_real_part_matches_greedy_oracle(self, case):
-        # 100 roots on one real part (some an ulp off it), spaced about tol
-        # apart in imag: more sweep candidates than the budget allows.
-        tol, pts, re, step, rnd = case
-        crowd = [complex(np.nextafter(re, np.inf) if rnd.random() < 0.3 else re, k * step * tol)
-                 for k in range(100)]
-        pts = pts + crowd
-        rnd.shuffle(pts)
-        roots = np.asarray(pts, dtype=complex).reshape(-1)
-        assert 100 * 99 // 2 > SWEEP_PAIRS_PER_ROOT * roots.size
-        got = _dedup(roots, tol)
-        want = dedup_oracle(roots, tol)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
-
-    def test_crowded_real_part_memory_is_linear(self):
-        # 3 000 roots on re = 0.3: a window on the real part alone holds about
-        # 4.5e6 candidate pairs, 36 MB for one int64 column of them.
-        n = 3000
-        re = np.where(np.arange(n) % 2, 0.3, np.nextafter(0.3, 1.0))
-        roots = re + 1j * np.linspace(-1.0, 1.0, n)
-        _dedup(roots[:100], DEDUP_TOL)  # the KD-tree route's import, untraced
-        tracemalloc.start()
-        try:
-            got = _dedup(roots, DEDUP_TOL)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.size == n
-        assert peak < 1000 * n
+    """No merge looks at the roots, which are kept with multiplicity: a
+    non-finite root must still raise, and roots crowding one real part must
+    still cost linear memory."""
 
     def test_crowded_spectrum_memory_is_linear(self):
         # The inner stages (d = 2, p = 0.4) have real roots, and d = 4 in the
         # first stage puts half of the depth-12 roots at re ~ 0.3, within an ulp.
         sysm = FiberedSystem(parse_base_spec("list:4;tail=2"),
                              parse_probs_spec("plist:0.7;tail=0.4"))
-        point_spectrum(sysm, 6)  # the KD-tree route's import, untraced
         tracemalloc.start()
         try:
             ps = point_spectrum(sysm, 12)
@@ -292,10 +201,11 @@ class TestDedup:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
                                      complex(np.inf, np.nan)])
-    def test_non_finite_roots_raise(self, bad):
+    def test_non_finite_roots_raise(self, bad, monkeypatch):
         roots = np.array([1 + 1j, bad, 1 + 1j, 0.5], dtype=complex)
+        monkeypatch.setattr(spectrum, "_composed_newton", lambda sys, z, depth: roots)
         with pytest.raises(ValueError, match="roots must be finite"):
-            _dedup(roots, DEDUP_TOL)
+            point_spectrum(SYS_HALF, 2)
 
     def test_quiet_under_warnings_as_errors(self):
         band = render(SYS_FIG3A, DEFAULT_WINDOW, (128, 128), band_depth((128, 128)))
@@ -303,12 +213,8 @@ class TestDedup:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ps = point_spectrum(SYS_FIG3A, 4)
-            roots = ps.all_roots()
             boundary_density(band, list(ps.levels))
             rep = transient_limit_check(SYS_FIG3A, deep, 8, 60)
-            assert _dedup(np.zeros(0, dtype=complex), DEDUP_TOL).shape == (0,)
-            assert _dedup(roots[:1], DEDUP_TOL).tolist() == roots[:1].tolist()
-            assert _dedup(roots[::-1], DEDUP_TOL).tobytes() == roots.tobytes()
         assert rep.interior_ok
 
 
@@ -349,7 +255,7 @@ class TestBoundaryDensity:
         pix = np.array([grid.center_at(r, c) for r, c in
                         np.argwhere(~grid.escaped)])
         rs = RootSet(1, np.array([1.0 + 0j]))
-        sup, cov = boundary_density(grid, rs)
+        sup, cov = boundary_density(grid, [rs])
         centers = np.array([grid.center_at(r, c) for r, c in boundary_pixels(grid)])
         assert sup == pytest.approx(np.abs(centers - 1.0).max())
 
@@ -372,7 +278,7 @@ class TestBoundaryDensity:
     def test_empty_boundary_raises(self):
         grid = render(SYS_DISK, (-0.2, 0.2, -0.2, 0.2), (16, 16), 10)
         with pytest.raises(ValueError):
-            boundary_density(grid, RootSet(1, np.array([1.0 + 0j])))
+            boundary_density(grid, [RootSet(1, np.array([1.0 + 0j]))])
 
 
 class TestTransientLimits:
@@ -523,7 +429,8 @@ class TestRootsCsv:
         write_roots_csv(ps, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "depth,re,im"
-        assert len(lines) == 1 + 2 + 3
+        # q_1 = 2 and q_2 = 4 rows; the double root 0.5 of depth 2 is listed twice
+        assert len(lines) == 1 + 2 + 4
 
     def test_partial_flag(self, tmp_path):
         ps = point_spectrum(SYS_HALF, 10, cap=8)
