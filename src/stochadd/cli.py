@@ -253,10 +253,11 @@ def _suite_factorization(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
         if abs(lam) > 1:
             continue
         r = int(rng.integers(2, 13))
-        if julia.orbit(sysm, lam, r).escaped:
+        vals = julia._bounded_stage_values(sysm, lam, r)
+        if vals is None:
             continue
         k = int(rng.integers(1, r))
-        worst = max(worst, julia.factorization_check(sysm, lam, r, k))
+        worst = max(worst, julia._factorization_residual(sysm, vals, r, k))
         kept += 1
     return worst < 1e-9, f"cases={kept} worst_resid={worst:.17g}"
 

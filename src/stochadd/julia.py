@@ -166,7 +166,8 @@ def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False
     <= 1: above 1, or NaN once a power has overflowed.
 
     An escape certifies divergence; a bounded result only says "bounded up to
-    r_max".
+    r_max".  This is the public scalar oracle: the library's own loops
+    (``_render_band``, ``_bounded_stage_values``) are tested against it.
     """
     if r_max < 1:
         raise ValueError("r_max must be >= 1")
@@ -227,6 +228,22 @@ def witness(sys: FiberedSystem, lam: complex, t: int, n: int) -> np.ndarray:
     return np.tile(out, -(-n // out.size))[:n]
 
 
+def _bounded_stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex] | None:
+    """``stage_values`` through ``r_max``, or None as soon as a composed value
+    is not <= 1: ``orbit``'s escape test and the stage values in one pass,
+    with the same arithmetic as each."""
+    d, p, c = sys.stages(r_max)
+    out = []
+    v = complex(lam)
+    for r in range(1, r_max + 1):
+        i = _rescale(v, p[r], c[r])
+        out.append(i)
+        v = _pow_int(i, d[r])
+        if not abs(v) <= 1.0:  # a NaN modulus escapes too
+            return None
+    return out
+
+
 def factorization_check(sys: FiberedSystem, lam: complex, r: int, k: int) -> float:
     """Residual of the telescoped stage-value difference identity.
 
@@ -236,7 +253,11 @@ def factorization_check(sys: FiberedSystem, lam: complex, r: int, k: int) -> flo
     """
     if not 1 <= k <= r - 1:
         raise ValueError("need 1 <= k <= r-1")
-    vals = stage_values(sys, lam, r)
+    return _factorization_residual(sys, stage_values(sys, lam, r), r, k)
+
+
+def _factorization_residual(sys: FiberedSystem, vals: list[complex], r: int, k: int) -> float:
+    """``factorization_check`` from the stage values ``vals`` = i_1..i_r."""
     d, p, _ = sys.stages(r)
     lhs = vals[r - 1] - 1.0
     factor = complex(1.0)

@@ -209,31 +209,40 @@ def _deep_interior_mask(grid: MembershipGrid) -> np.ndarray:
 CHAIN_DEGREE_LIMIT = 1_000_000
 
 
-def _random_preimage(d: int, p: float, c: float, w: complex, rng) -> complex:
-    """One uniformly chosen solution of f(z) = w for the stage map with table
-    entries d, p, c, Newton-polished in numpy-scalar arithmetic."""
-    if d > CHAIN_DEGREE_LIMIT:
-        raise ValueError(f"stage degree {d} too large for chain sampling")
-    branch = int(rng.integers(0, d))
-    z = c + p * w ** (1.0 / d) * np.exp(2j * np.pi * branch / d)
-    fz, fpz = _jet(z, d, p, c)
-    if abs(fpz) > 1e-12:
-        z = z - (fz - w) / fpz
-    return complex(z)
-
-
 def _boundary_chain(sys: FiberedSystem, depth: int, rng) -> tuple[complex, list[complex], float]:
     """One backward chain from 1 at stage ``depth`` down to the parameter plane.
 
     Returns (parameter, composed values v_1..v_depth, max one-step forward
     residual |f_j(v_{j-1}) - v_j|).  Backward steps contract, so the chain is
     a certified pseudo-orbit ending exactly at 1.
+
+    The branch word b_depth..b_1 (0 <= b_j < d_j) is drawn as one block of
+    bounded integers.  numpy takes a bounded integer below 2**32 from the
+    generator's 32-bit words by the same rule (Lemire's), alone or in an
+    array, so the block gives the letters, and leaves the generator state
+    (PCG64's buffered half-word included), that one draw per stage would.  Step j takes the principal
+    d_j-th root of v_j times the root of unity of b_j, then one Newton step on
+    f_j, in numpy-scalar arithmetic: a uniformly chosen preimage of v_j.
     """
     d, p, c = sys.stages(depth)
+    degrees = d[depth:0:-1]
+    too_large = next((x for x in degrees if x > CHAIN_DEGREE_LIMIT), None)
+    if too_large is not None:
+        raise ValueError(f"stage degree {too_large} too large for chain sampling")
+    letters = rng.integers(0, degrees).tolist()
+    zetas = {}  # root of unity per (degree, letter)
     vals = [0j] * (depth + 1)
-    vals[depth] = 1.0 + 0.0j
-    for j in range(depth, 0, -1):
-        vals[j - 1] = _random_preimage(d[j], p[j], c[j], vals[j], rng)
+    w = vals[depth] = 1.0 + 0.0j
+    for j, branch in zip(range(depth, 0, -1), letters):
+        dj, pj, cj = d[j], p[j], c[j]
+        zeta = zetas.get((dj, branch))
+        if zeta is None:
+            zeta = zetas[dj, branch] = np.exp(2j * np.pi * branch / dj)
+        z = cj + pj * w ** (1.0 / dj) * zeta
+        fz, fpz = _jet(z, dj, pj, cj)
+        if abs(fpz) > 1e-12:
+            z = z - (fz - w) / fpz
+        w = vals[j - 1] = complex(z)
     worst = 0.0
     for j in range(1, depth + 1):
         worst = max(worst, abs(_stage(vals[j - 1], d[j], p[j], c[j]) - vals[j]))
@@ -253,7 +262,9 @@ def sample_bounded(sys: FiberedSystem, count: int, depth: int = DEFAULT_DEPTH, s
     ``rejection_budget`` chains: at that many uncertified chains it raises
     ``ValueError``.  A fill that stops at ``count`` draws no chain, and one
     that falls short used the whole budget, so this is the PCG64 stream of
-    one draw pair at a time.
+    one draw pair at a time, then of one chain at a time, whose block of
+    branch letters takes the words that one draw per stage would
+    (``_boundary_chain``).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -307,6 +318,10 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
     the boundary samples: parameter error is amplified by roughly the product
     of d_r / p_r per stage, which swamps double precision near the boundary.
     """
+    if sample_count < 1:
+        raise ValueError("sample_count must be >= 1")
+    if r_probe < 1:
+        raise ValueError("r_probe must be >= 1")
     reason = transient_skip_reason(sys.probs)
     if reason is not None:
         raise ValueError(f"transient limit check requires a positive probability product ({reason})")

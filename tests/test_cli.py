@@ -10,7 +10,7 @@ import pytest
 
 import stochadd
 from stochadd import julia
-from stochadd.cli import PRESETS, _escape_samples, main
+from stochadd.cli import FACTORIZATION_DRAWS, PRESETS, _escape_samples, _suite_factorization, main
 from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
 
 
@@ -243,6 +243,19 @@ class TestVerify:
         assert out == ("FAIL factorization custom "
                        "error=100000 draws gave 0 of 100 bounded cases\n")
 
+    def test_all_suites_run_without_orbit(self, capsys, monkeypatch):
+        def orbit(*args, **kwargs):
+            raise RuntimeError("verify called julia.orbit")
+
+        monkeypatch.setattr(julia, "orbit", orbit)
+        code, out, _ = run(capsys, "verify", "--suite", "all", "--seed", "7")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 35 and all(line.startswith("PASS ") for line in lines)
+        for suite in ("factorization", "witness", "transient"):
+            got = [line for line in lines if line.split()[1] == suite]
+            assert got == PINNED_VERIFY_STDOUT[f"{suite} 7"]
+
     @pytest.mark.parametrize("seed", [1, 7, 20])
     @pytest.mark.parametrize("suite", ["factorization", "witness", "transient"])
     def test_stdout_is_pinned(self, capsys, suite, seed):
@@ -253,7 +266,37 @@ class TestVerify:
         assert out.splitlines() == PINNED_VERIFY_STDOUT[f"{suite} {seed}"]
 
 
+def reference_factorization(sysm, seed):
+    """The factorization suite as a scalar ``orbit`` test of each draw, then
+    ``factorization_check``, which computes the stage values again."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    kept = 0
+    draws = 0
+    while kept < 100:
+        if draws == FACTORIZATION_DRAWS:
+            raise ValueError(f"{draws} draws gave {kept} of 100 bounded cases")
+        draws += 1
+        lam = complex(-1.0 + 2.0 * rng.random(), -1.0 + 2.0 * rng.random())
+        if abs(lam) > 1:
+            continue
+        r = int(rng.integers(2, 13))
+        if julia.orbit(sysm, lam, r).escaped:
+            continue
+        k = int(rng.integers(1, r))
+        worst = max(worst, julia.factorization_check(sysm, lam, r, k))
+        kept += 1
+    return worst < 1e-9, f"cases={kept} worst_resid={worst:.17g}"
+
+
 class TestFactorizationDraws:
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_matches_orbit_then_check_loop(self, preset):
+        base_spec, probs_spec = PRESETS[preset]
+        sysm = julia.FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+        for seed in range(6):
+            assert _suite_factorization(sysm, seed) == reference_factorization(sysm, seed)
+
     @pytest.mark.parametrize("seed", [0, 1, 20])
     def test_scaled_random_is_uniform(self, seed):
         # The factorization suite draws -1 + 2 * random() for uniform(-1, 1).

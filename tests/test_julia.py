@@ -327,6 +327,32 @@ class TestWitnessEntries:
                                    rtol=1e-13, atol=0)
 
 
+def factorization_oracle(sysm, lam, r, k):
+    """Both sides of the factorization identity from ``stage_values``, in one body."""
+    vals = stage_values(sysm, lam, r)
+    d, p, _ = sysm.stages(r)
+    lhs = vals[r - 1] - 1.0
+    factor = complex(1.0)
+    for j in range(r - k + 1, r + 1):
+        prev = vals[j - 2]
+        zsum = complex(0.0)
+        term = complex(1.0)
+        for _ in range(d[j - 1]):
+            zsum += term
+            term *= prev
+        factor *= zsum / p[j]
+    rhs = (vals[r - k - 1] - 1.0) * factor
+    return abs(lhs - rhs)
+
+
+def residual_or_error(check, *args):
+    """A residual's bits, or the error it raised: escaping parameters may overflow."""
+    try:
+        return check(*args).hex()
+    except OverflowError as exc:
+        return str(exc)
+
+
 class TestFactorization:
     def test_fixed_point_zero_residual(self):
         assert factorization_check(SYS_HALF, 1.0, 6, 3) == 0.0
@@ -345,6 +371,18 @@ class TestFactorization:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             factorization_check(SYS_HALF, 0.1, 3, 3)
+
+    @pytest.mark.parametrize("preset", ["fig3a", "fig5a", "fig8a", "fig10a"])
+    def test_matches_direct_evaluation(self, preset):
+        base_spec, probs_spec = PRESETS[preset]
+        sysm = FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            lam = complex(*rng.uniform(-1.2, 1.2, size=2))
+            r = int(rng.integers(2, 13))
+            k = int(rng.integers(1, r))
+            assert (residual_or_error(factorization_check, sysm, lam, r, k)
+                    == residual_or_error(factorization_oracle, sysm, lam, r, k))
 
 
 class TestRender:

@@ -13,6 +13,7 @@ from stochadd.cli import PRESETS
 from stochadd.julia import (
     DEFAULT_WINDOW,
     FiberedSystem,
+    _jet,
     band_depth,
     boundary_pixels,
     orbit,
@@ -340,9 +341,82 @@ class TestTransientLimits:
         with pytest.raises(ValueError, match="positive but below double precision"):
             transient_limit_check(tiny, grid, 5, 30)
 
+    @pytest.mark.parametrize("sample_count, r_probe, message", [
+        (0, 60, "sample_count must be >= 1"),
+        (10, 0, "r_probe must be >= 1"),
+    ])
+    def test_bad_arguments_raise(self, sample_count, r_probe, message):
+        grid = render(SYS_DISK, (-1.5, 1.5, -1.5, 1.5), (64, 64), 100)
+        with pytest.raises(ValueError, match=message):
+            transient_limit_check(SYS_DISK, grid, sample_count, r_probe)
+
+
+def reference_preimage(d, p, c, w, rng):
+    """One uniformly chosen solution of f(z) = w for the stage map with table
+    entries d, p, c: one ``rng.integers`` draw for the branch, then one Newton
+    step in numpy-scalar arithmetic."""
+    if d > CHAIN_DEGREE_LIMIT:
+        raise ValueError(f"stage degree {d} too large for chain sampling")
+    branch = int(rng.integers(0, d))
+    z = c + p * w ** (1.0 / d) * np.exp(2j * np.pi * branch / d)
+    fz, fpz = _jet(z, d, p, c)
+    if abs(fpz) > 1e-12:
+        z = z - (fz - w) / fpz
+    return complex(z)
+
+
+def reference_chain(sysm, depth, rng):
+    """``_boundary_chain`` drawing its branch word one stage at a time."""
+    d, p, c = sysm.stages(depth)
+    vals = [0j] * (depth + 1)
+    vals[depth] = 1.0 + 0.0j
+    for j in range(depth, 0, -1):
+        vals[j - 1] = reference_preimage(d[j], p[j], c[j], vals[j], rng)
+    worst = 0.0
+    for j in range(1, depth + 1):
+        worst = max(worst, abs(stage_map(sysm, j, vals[j - 1]) - vals[j]))
+    return vals[0], vals[1:], worst
+
+
+def chain_bits(chain):
+    """A chain's parameter, values and residual as hex strings, bit for bit."""
+    lam, vals, resid = chain
+    return [(z.real.hex(), z.imag.hex()) for z in (lam, *vals)], resid.hex()
+
+
+class TestBoundaryChain:
+    @pytest.mark.parametrize("depth", [0, 1, 7, 60])
+    @pytest.mark.parametrize("base_spec", ["const:3", "periodic:3,5", "fib", "even",
+                                           "list:2,3,4;tail=5"])
+    def test_matches_per_stage_oracle(self, base_spec, depth):
+        sysm = FiberedSystem(parse_base_spec(base_spec),
+                             parse_probs_spec("plist:0.55,1,0.5;tail=0.7"))
+        for seed in range(6):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            if seed % 2:
+                # One 32-bit draw leaves half of a 64-bit word buffered.
+                for rng in rngs:
+                    rng.integers(0, 7)
+                assert rngs[0].bit_generator.state["has_uint32"] == 1
+            results = []
+            for rng, chain in zip(rngs, (reference_chain, _boundary_chain)):
+                try:
+                    results.append(chain_bits(chain(sysm, depth, rng)))
+                except ValueError as exc:
+                    results.append(str(exc))
+            assert results[0] == results[1], seed
+            if isinstance(results[0], str):
+                assert (base_spec, depth) == ("fib", 60)
+                assert "too large for chain sampling" in results[0]
+                continue
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+            # A lost or extra buffered half-word moves the next 32-bit draw.
+            assert len({int(rng.integers(0, 2**31)) for rng in rngs}) == 1
+
 
 def reference_sample(sysm, count, depth, seed, rejection_budget=None):
-    """One draw pair and one scalar orbit at a time, then the chain fill.
+    """One draw pair and one scalar orbit at a time, then the chain fill, one
+    stage draw at a time.
 
     Returns the sample and whether rejection alone filled it.
     """
@@ -360,7 +434,7 @@ def reference_sample(sysm, count, depth, seed, rejection_budget=None):
     d = sysm.stages(depth)[0]
     chain_depth = next((j - 1 for j in range(1, depth + 1) if d[j] > CHAIN_DEGREE_LIMIT), depth)
     while len(out) < count:
-        lam, _, resid = _boundary_chain(sysm, chain_depth, rng)
+        lam, _, resid = reference_chain(sysm, chain_depth, rng)
         if resid < 1e-9:
             out.append(lam)
     return out, filled
