@@ -13,6 +13,7 @@ re-running the (exponentially ill-conditioned) forward orbit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +141,7 @@ def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9) -> E
 
     For each candidate eigenvalue lam the candidate eigenvector is built and
     the sup-norm of (S - lam I) v over unclipped rows compared to ``tol``.
+    A report over no roots is not ``ok``: it checked nothing.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -148,18 +150,75 @@ def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9) -> E
                   for lam in np.asarray(roots, dtype=complex))
     # np.max, unlike max, propagates a NaN residual, which then fails ``ok``.
     worst = float(np.max([resid for _, resid in items], initial=0.0))
-    return EigenReport(n, tol, items, worst, worst <= tol)
+    return EigenReport(n, tol, items, worst, bool(items) and worst <= tol)
+
+
+LATTICE_REACH = 1.4  # pixel diagonals between centres that decide coverage on the lattice
+LATTICE_SPAN = 2.0**40  # window coordinates, in pixel diagonals, up to which the lattice decides
+
+
+def _lattice_covered(grid: MembershipGrid, boundary: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Roots that lie within two pixel diagonals of a boundary pixel's centre,
+    decided on the pixel lattice: True means covered, False means undecided.
+
+    Proof.  Let D be the pixel diagonal and x a root in pixel P, so
+    |x - c_P| <= D/2.  If a boundary pixel Q has |c_P - c_Q| <= 1.4 D, then
+    |x - c_Q| <= 1.9 D, which is within 2 D with a margin of 0.1 D.  The
+    offsets (i, j) with |(i dy, j dx)| <= 1.4 D are the ones within reach,
+    so dilating the ``boundary`` mask by them marks every such P, and a root
+    whose floor pixel is marked is covered.  Rounding stays far inside the
+    margin.  The floor index reads x - re_min (or im_max - x.imag), rounded
+    relative to the window's width, so it names a neighbour of P only for a
+    root within a few ulps of that width from their shared edge, and that
+    neighbour's centre, too, is within D/2 plus those ulps of x.
+    ``center_at`` and the KD-tree's distance are off by a few ulps of the
+    window's coordinates, below 2**-10 D while those coordinates stay within
+    ``LATTICE_SPAN`` diagonals; past that span every root is left undecided
+    (at 2**52 a centre can move by half a diagonal).  So every root marked
+    here is one that the KD-tree query of the centres finds within 2 D.
+    """
+    re_min, re_max, im_min, im_max = grid.window
+    dx, dy = grid.pixel_size()
+    diag = grid.pixel_diag()
+    covered = np.zeros(roots.shape, dtype=bool)
+    if max(abs(x) for x in grid.window) > LATTICE_SPAN * diag:
+        return covered
+    reach = LATTICE_REACH * diag
+    height, width = boundary.shape
+    near = np.zeros_like(boundary)
+    ki = int(min(reach / dy, height - 1))
+    kj = int(min(reach / dx, width - 1))
+    for i in range(-ki, ki + 1):
+        for j in range(-kj, kj + 1):
+            if math.hypot(i * dy, j * dx) <= reach:
+                near[max(i, 0):height + min(i, 0), max(j, 0):width + min(j, 0)] |= \
+                    boundary[max(-i, 0):height + min(-i, 0), max(-j, 0):width + min(-j, 0)]
+    inside = ((roots.real >= re_min) & (roots.real <= re_max)
+              & (roots.imag >= im_min) & (roots.imag <= im_max))
+    z = roots[inside]
+    col = np.minimum(((z.real - re_min) / dx).astype(np.intp), width - 1)
+    row = np.minimum(((im_max - z.imag) / dy).astype(np.intp), height - 1)
+    covered[inside] = near[row, col]
+    return covered
 
 
 def boundary_density(grid: MembershipGrid, rootsets) -> tuple[float, float]:
     """(sup over boundary pixels of distance to the nearest root,
     fraction of roots within two pixel diagonals of a boundary pixel) over
     the roots of every root set; coverage counts each root with its
-    multiplicity."""
+    multiplicity.
+
+    The sup is a KD-tree query of the roots by the boundary-pixel centres.
+    Coverage is decided on the pixel lattice where it can be
+    (``_lattice_covered``); only the other roots, off the window or beyond
+    its reach, go to a KD-tree query of the centres, which answers each root
+    on its own.  Either way a root's verdict is the one that query would give.
+    """
     pix = boundary_pixels(grid)
     if pix.size == 0:
         raise ValueError("grid has no boundary pixels")
-    roots = np.concatenate([np.asarray(rs.roots, dtype=complex) for rs in rootsets])
+    roots = np.concatenate([np.zeros(0, dtype=complex)]
+                           + [np.asarray(rs.roots, dtype=complex) for rs in rootsets])
     if roots.size == 0:
         raise ValueError("no roots supplied")
     # Imported where it is used, so that importing stochadd does not load it.
@@ -169,12 +228,18 @@ def boundary_density(grid: MembershipGrid, rootsets) -> tuple[float, float]:
     cpts = np.column_stack([centers.real, centers.imag])
     rpts = np.column_stack([roots.real, roots.imag])
     # Each tree answers one query, so balancing it costs more than it saves;
-    # a nearest distance does not depend on the tree's shape.
+    # a nearest distance does not depend on the tree's shape.  The root tree
+    # comes first: it rejects non-finite roots.
     unbalanced = {"balanced_tree": False, "compact_nodes": False}
     dist_to_root, _ = cKDTree(rpts, **unbalanced).query(cpts)
-    dist_to_boundary, _ = cKDTree(cpts, **unbalanced).query(rpts)
-    coverage = float(np.mean(dist_to_boundary <= 2.0 * grid.pixel_diag()))
-    return float(dist_to_root.max()), coverage
+    boundary = np.zeros(grid.escaped.shape, dtype=bool)
+    boundary[pix[:, 0], pix[:, 1]] = True
+    near = _lattice_covered(grid, boundary, roots)
+    rest = ~near
+    if rest.any():
+        dist_to_boundary, _ = cKDTree(cpts, **unbalanced).query(rpts[rest])
+        near[rest] = dist_to_boundary <= 2.0 * grid.pixel_diag()
+    return float(dist_to_root.max()), float(np.mean(near))
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,13 @@ class TestVerify:
         assert code == 1
         assert out.startswith("FAIL witness custom error=")
 
+    def test_eigenpairs_without_roots_fails(self, capsys):
+        # d_1 = 5000 > cap 4000, so no depth fits and no root is checked.
+        code, out, _ = run(capsys, "verify", "--suite", "eigenpairs", "--base",
+                           "list:5000;tail=2", "--probs", "pconst:0.7")
+        assert code == 1
+        assert out == "FAIL eigenpairs custom n=2 roots=0 max_resid=0\n"
+
     def test_factorization_without_bounded_draws_fails(self, capsys):
         # Every disk draw escapes, so only the draw budget ends the suite.
         code, out, _ = run(capsys, "verify", "--suite", "factorization", "--base", "const:2",
@@ -349,6 +356,15 @@ class TestReport:
         assert fields["boundary_density"] == "skipped (grid has no boundary pixels)"
         assert fields["regime"] == "null_recurrent_like"
         assert fields["ok"] == "true"
+
+    def test_no_roots_fails(self, capsys):
+        # d_1 = 300000 > ROOT_CAP, so no depth fits and no root is checked.
+        code, out, _ = run(capsys, "report", "--base", "list:300000;tail=2", "--probs",
+                           "pconst:0.7", "--resolution", "64")
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert code == 1
+        assert fields["eigen_max_residual"] == "0" and fields["ok"] == "false"
+        assert fields["boundary_density"] == "skipped (no roots supplied)"
 
     def test_overflowing_eigenvectors_fail_without_warnings(self, capsys):
         with warnings.catch_warnings():

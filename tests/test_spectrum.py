@@ -1,10 +1,12 @@
+import cmath
 import math
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.spatial
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -13,6 +15,7 @@ from stochadd.cli import PRESETS
 from stochadd.julia import (
     DEFAULT_WINDOW,
     FiberedSystem,
+    MembershipGrid,
     _jet,
     band_depth,
     boundary_pixels,
@@ -233,6 +236,10 @@ class TestVerifyEigenpairs:
         rep = verify_eigenpairs(SYS_37, ps.all_roots(), 3**6, tol=1e-9)
         assert rep.ok
 
+    def test_no_roots_fails(self):
+        rep = verify_eigenpairs(SYS_HALF, np.zeros(0, dtype=complex), 64)
+        assert rep.residuals == () and rep.max_residual == 0.0 and not rep.ok
+
     def test_nan_residual_fails(self):
         roots = point_spectrum(SYS_TINY_P, 4).all_roots()
         with warnings.catch_warnings():
@@ -240,6 +247,78 @@ class TestVerifyEigenpairs:
             rep = verify_eigenpairs(SYS_TINY_P, roots, 2048, tol=1e-8)
         assert any(math.isnan(resid) for _, resid in rep.residuals)
         assert math.isnan(rep.max_residual) and not rep.ok
+
+
+def two_tree_density(grid, rootsets):
+    """``boundary_density`` by its definition: a KD-tree of the roots queried
+    by every boundary-pixel centre, and a KD-tree of the centres queried by
+    every root."""
+    centers = np.array([grid.center_at(r, c) for r, c in boundary_pixels(grid)])
+    roots = np.concatenate([rs.roots for rs in rootsets])
+    cpts = np.column_stack([centers.real, centers.imag])
+    rpts = np.column_stack([roots.real, roots.imag])
+    sup = cKDTree(rpts).query(cpts)[0].max()
+    near = cKDTree(cpts).query(rpts)[0] <= 2.0 * grid.pixel_diag()
+    return float(sup), float(np.mean(near))
+
+
+def float_hex(pair):
+    return [float(x).hex() for x in pair]
+
+
+def band_grid(sysm, res):
+    return render(sysm, DEFAULT_WINDOW, (res, res), band_depth((res, res)))
+
+
+def system(preset):
+    return FiberedSystem(parse_base_spec(PRESETS[preset][0]), parse_probs_spec(PRESETS[preset][1]))
+
+
+# Roots per ring about a boundary centre.  Where a ring passes just beyond
+# two diagonals through a pixel whose centre lies within reach, it must stay
+# uncovered; 256 roots put one there for most rings that cross such a pixel.
+RING = 256
+
+
+@st.composite
+def lattice_cases(draw):
+    """A grid of at most 9 x 9 pixels, square or not, whose bounded pixels are
+    drawn, with rings of roots at 2 diagonals +- 4 ulps from boundary
+    centres, roots in and around the window, and roots near 1e300."""
+    height, width = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    re_min, im_min = draw(st.floats(-3, 3)), draw(st.floats(-3, 3))
+    span_re, span_im = draw(st.floats(0.01, 4)), draw(st.floats(0.01, 4))
+    if draw(st.booleans()):  # square pixels
+        span_im = span_re * height / width
+    bounded = draw(st.sets(st.tuples(st.integers(0, height - 1), st.integers(0, width - 1)),
+                           min_size=1, max_size=draw(st.sampled_from([2, 81]))))  # sparse or not
+    escaped = np.ones((height, width), dtype=bool)
+    for row, col in bounded:
+        escaped[row, col] = False
+    window = (re_min, re_min + span_re, im_min, im_min + span_im)
+    grid = MembershipGrid(window, width, height, 1, escaped, np.zeros((height, width), np.int32))
+    pix = boundary_pixels(grid)
+    assume(pix.size > 0)
+    diag = grid.pixel_diag()
+    roots = []
+    for k, turn, ulps in draw(st.lists(st.tuples(st.integers(0, len(pix) - 1),
+                                                 st.floats(0, 2 * math.pi / RING),
+                                                 st.integers(-4, 4)), min_size=1, max_size=4)):
+        dist = 2.0 * diag
+        for _ in range(abs(ulps)):
+            dist = float(np.nextafter(dist, math.copysign(math.inf, ulps)))
+        center = grid.center_at(*pix[k])
+        roots += [center + cmath.rect(dist, turn + 2 * math.pi * i / RING) for i in range(RING)]
+    pad = 2.0 * diag
+    roots += [complex(x, y) for x, y in draw(st.lists(st.tuples(
+        st.floats(window[0] - pad, window[1] + pad), st.floats(window[2] - pad, window[3] + pad)),
+        max_size=16))]
+    roots += [complex(x, y) for x, y in draw(st.lists(st.tuples(
+        st.sampled_from([-1e300, 0.0, 1e300]), st.sampled_from([-1e300, 0.0, 1.7e308])),
+        max_size=2))]
+    cut = draw(st.integers(0, len(roots)))
+    return grid, [RootSet(1, np.array(roots[:cut], dtype=complex)),
+                  RootSet(2, np.array(roots[cut:], dtype=complex))]
 
 
 class TestBoundaryDensity:
@@ -253,8 +332,6 @@ class TestBoundaryDensity:
 
     def test_single_root_definition(self):
         grid = render(SYS_DISK, (-1.5, 1.5, -1.5, 1.5), (128, 128), 60)
-        pix = np.array([grid.center_at(r, c) for r, c in
-                        np.argwhere(~grid.escaped)])
         rs = RootSet(1, np.array([1.0 + 0j]))
         sup, cov = boundary_density(grid, [rs])
         centers = np.array([grid.center_at(r, c) for r, c in boundary_pixels(grid)])
@@ -263,18 +340,80 @@ class TestBoundaryDensity:
     @pytest.mark.parametrize("preset, depth", [("fig3a", 8), ("fig6a", 5), ("fig8a", 5),
                                                ("fig10a", 7)])
     def test_matches_balanced_tree_bit_for_bit(self, preset, depth):
-        sysm = FiberedSystem(parse_base_spec(PRESETS[preset][0]),
-                             parse_probs_spec(PRESETS[preset][1]))
-        grid = render(sysm, DEFAULT_WINDOW, (256, 256), band_depth((256, 256)))
+        sysm = system(preset)
+        grid = band_grid(sysm, 256)
         rootsets = list(point_spectrum(sysm, depth).levels)
-        centers = np.array([grid.center_at(r, c) for r, c in boundary_pixels(grid)])
-        roots = np.concatenate([rs.roots for rs in rootsets])
-        cpts = np.column_stack([centers.real, centers.imag])
-        rpts = np.column_stack([roots.real, roots.imag])
-        sup = cKDTree(rpts).query(cpts)[0].max()
-        near = cKDTree(cpts).query(rpts)[0] <= 2.0 * grid.pixel_diag()
-        got = boundary_density(grid, rootsets)
-        assert [x.hex() for x in got] == [float(sup).hex(), float(np.mean(near)).hex()]
+        assert float_hex(boundary_density(grid, rootsets)) == float_hex(
+            two_tree_density(grid, rootsets))
+
+    @pytest.mark.parametrize("res", [256, 512])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_match_two_trees(self, preset, res):
+        sysm = system(preset)
+        grid = band_grid(sysm, res)
+        rootsets = list(point_spectrum(sysm, len(levels(sysm.base, 20_000))).levels)
+        if boundary_pixels(grid).size == 0:
+            with pytest.raises(ValueError, match="grid has no boundary pixels"):
+                boundary_density(grid, rootsets)
+        else:
+            assert float_hex(boundary_density(grid, rootsets)) == float_hex(
+                two_tree_density(grid, rootsets))
+
+    @settings(max_examples=150, deadline=None)
+    @given(lattice_cases())
+    def test_lattice_matches_two_trees(self, case):
+        grid, rootsets = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = boundary_density(grid, rootsets)
+        assert float_hex(got) == float_hex(two_tree_density(grid, rootsets))
+
+    @pytest.mark.parametrize("preset, depth", [("fig3a", 8), ("fig10a", 7)])
+    def test_lattice_decides_preset_roots(self, preset, depth, monkeypatch):
+        # The centre tree may be asked about at most 1% of the roots; the
+        # root tree, asked by the centres, shows the recording works.
+        sysm = system(preset)
+        grid = band_grid(sysm, 256)
+        rootsets = list(point_spectrum(sysm, depth).levels)
+        n_roots = sum(rs.roots.size for rs in rootsets)
+        n_centers = len(boundary_pixels(grid))
+        asked = []  # (tree size, points asked about) per query
+
+        class Recording(cKDTree):
+            def query(self, x, *args, **kwargs):
+                asked.append((self.n, len(x)))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.spatial, "cKDTree", Recording)
+        boundary_density(grid, rootsets)
+        assert (n_roots, n_centers) in asked
+        assert sum(k for n, k in asked if n == n_centers) <= 0.01 * n_roots
+
+    def test_far_window_goes_to_the_tree(self):
+        # The doubles near 2**52 are the integers, so the boundary centre
+        # 2**52 + 0.75 is stored as 2**52 + 1, half a pixel diagonal away.
+        # The root's pixel is within reach of it, yet the root lies just past
+        # two diagonals from the stored centre: only the tree can say so.
+        escaped = np.ones((3, 2), dtype=bool)
+        escaped[2, 1] = False
+        grid = MembershipGrid((2.0**52, 2.0**52 + 1, 0.0, 0.25), 2, 3, 1, escaped,
+                              np.zeros((3, 2), np.int32))
+        rootsets = [RootSet(1, np.array([complex(2.0**52, 0.2109375)]))]
+        want = two_tree_density(grid, rootsets)
+        assert want[1] == 0.0
+        assert float_hex(boundary_density(grid, rootsets)) == float_hex(want)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 0)])
+    def test_non_finite_roots_raise(self, bad):
+        grid = render(SYS_DISK, (-1.5, 1.5, -1.5, 1.5), (32, 32), 60)
+        with pytest.raises(ValueError, match="data must be finite"):
+            boundary_density(grid, [RootSet(1, np.array([1.0, bad, 0.5j], dtype=complex))])
+
+    @pytest.mark.parametrize("rootsets", [[], [RootSet(1, np.zeros(0, dtype=complex))]])
+    def test_no_roots_raise(self, rootsets):
+        grid = render(SYS_DISK, (-1.5, 1.5, -1.5, 1.5), (32, 32), 60)
+        with pytest.raises(ValueError, match="no roots supplied"):
+            boundary_density(grid, rootsets)
 
     def test_empty_boundary_raises(self):
         grid = render(SYS_DISK, (-0.2, 0.2, -0.2, 0.2), (16, 16), 10)
