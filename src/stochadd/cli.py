@@ -64,8 +64,11 @@ class UsageError(Exception):
     pass
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _fmt(x) -> str:
+    """A printed value: floats with 17 significant digits, bools in lower case."""
+    if isinstance(x, bool):
+        return str(x).lower()
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _configs(args, defaults=()) -> list[tuple[str, str, str]]:
@@ -161,7 +164,7 @@ def cmd_roots(args) -> int:
     if args.out:
         spectrum.write_roots_csv(ps, args.out)
     total = sum(len(level.roots) for level in ps.levels)
-    print(f"levels={len(ps.levels)} roots={total} capped={str(ps.capped).lower()}")
+    print(f"levels={len(ps.levels)} roots={total} capped={_fmt(ps.capped)}")
     return 0
 
 
@@ -190,8 +193,17 @@ def _suite_stochasticity(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     return ok, f"n={n} row_dev={row_dev:.17g} col_dev={col_dev:.17g}"
 
 
+# States of the fine matrix that the renorm suite may build densely (several
+# n1 x n1 arrays); the presets need at most 60.
+RENORM_STATES = 2048
+
+
 def _suite_renorm(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
-    n2 = 4 * sysm.stages(2)[0][2]
+    d = sysm.stages(2)[0]
+    n2 = 4 * d[2]
+    n1 = d[1] * n2
+    if n1 > RENORM_STATES:
+        raise ValueError(f"renorm needs {n1} fine states, over {RENORM_STATES}")
     rep = machine.renorm_check(1, n2, sysm.base, sysm.probs)
     ok = rep.max_diff() <= 1e-12
     return ok, f"n2={n2} max_diff={rep.max_diff():.17g}"
@@ -297,12 +309,14 @@ def cmd_verify(args) -> int:
                 ok, detail = _SUITE_FUNCS[suite](sysm, args.seed)
             except (ValueError, OverflowError) as exc:
                 ok, detail = False, f"error={exc}"
+                fields = [detail]
+            else:
+                # Detail values hold no space, and a skip note holds no "=".
+                fields = [tok for tok in detail.split() if "=" in tok]
             failures += not ok
             print(f"{'PASS' if ok else 'FAIL'} {suite} {name} {detail}")
-            report_lines.append(f"{suite}.{name}.result={'pass' if ok else 'fail'}")
-            for tok in detail.split():
-                if "=" in tok:
-                    report_lines.append(f"{suite}.{name}.{tok}")
+            report_lines += [f"{suite}.{name}.{field}"
+                             for field in (f"result={'pass' if ok else 'fail'}", *fields)]
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("\n".join(report_lines) + "\n")
@@ -313,34 +327,9 @@ def cmd_report(args) -> int:
     sysm, base_spec, probs_spec = _system(args)
     rep = spectrum.classify_spectrum(sysm, args.depth, resolution=args.resolution,
                                      seed=args.seed)
-    eig = rep.evidence["eigenpairs"]
-    lines = [
-        f"base={base_spec}",
-        f"probs={probs_spec}",
-        f"regime={rep.regime}",
-        f"claimed_spectrum={rep.claimed_spectrum}",
-        f"eigen_max_residual={_fmt(eig.max_residual)}",
-        f"eigen_states={eig.n_states}",
-    ]
-    skipped = rep.evidence.get("boundary_density_skipped")
-    if skipped is not None:
-        lines.append(f"boundary_density=skipped ({skipped})")
-    else:
-        lines += [f"boundary_sup_min_dist={_fmt(rep.evidence['boundary_sup_min_dist'])}",
-                  f"boundary_coverage={_fmt(rep.evidence['boundary_coverage'])}"]
-    trep = rep.evidence.get("transient_limits")
-    if trep is not None:
-        lines += [
-            f"transient_interior_max={_fmt(trep.interior_max_mod)}",
-            f"transient_boundary_min={_fmt(trep.boundary_min_mod)}",
-            f"transient_boundary_max={_fmt(trep.boundary_max_mod)}",
-        ]
-    if "transient_limits_skipped" in rep.evidence:
-        lines.append(f"transient_limits=skipped ({rep.evidence['transient_limits_skipped']})")
-    if "transient_limits_error" in rep.evidence:
-        lines.append(f"transient_limits=error ({rep.evidence['transient_limits_error']})")
-    lines.append(f"ok={str(rep.ok).lower()}")
-    print("\n".join(lines))
+    fields = {"base": base_spec, "probs": probs_spec, "regime": rep.regime,
+              "claimed_spectrum": rep.claimed_spectrum, **rep.evidence, "ok": rep.ok}
+    print("\n".join(f"{key}={_fmt(value)}" for key, value in fields.items()))
     return 0 if rep.ok else 1
 
 

@@ -29,10 +29,9 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .numeration import (
     BaseSeq,
@@ -43,6 +42,9 @@ from .numeration import (
     to_digits,
     truncate_digits,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 RECURRENT = "null_recurrent_like"
 TRANSIENT = "transient_like"
@@ -187,6 +189,8 @@ def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransiti
 
     # A halt lands on n - drop >= 0, so only the last row's n+1 leaves the truncation.
     indptr[-1] -= 1
+    import scipy.sparse as sp  # here, so that importing stochadd does not load it
+
     csr = sp.csr_matrix((data[:-1], indices[:-1], indptr), shape=(n_states, n_states))
     for arr in (csr.data, csr.indices, csr.indptr):
         arr.setflags(write=False)

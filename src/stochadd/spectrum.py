@@ -125,7 +125,6 @@ def point_spectrum(sys: FiberedSystem, r_max: int, cap: int = ROOT_CAP) -> Point
 @dataclass(frozen=True)
 class EigenReport:
     n_states: int
-    tol: float
     residuals: tuple[tuple[complex, float], ...]
     max_residual: float
     ok: bool
@@ -150,7 +149,7 @@ def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9) -> E
                   for lam in np.asarray(roots, dtype=complex))
     # np.max, unlike max, propagates a NaN residual, which then fails ``ok``.
     worst = float(np.max([resid for _, resid in items], initial=0.0))
-    return EigenReport(n, tol, items, worst, bool(items) and worst <= tol)
+    return EigenReport(n, items, worst, bool(items) and worst <= tol)
 
 
 LATTICE_REACH = 1.4  # pixel diagonals between centres that decide coverage on the lattice
@@ -244,13 +243,10 @@ def boundary_density(grid: MembershipGrid, rootsets) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TransientReport:
-    r_probe: int
     tail_product: float
     lower_bound: float
-    interior_count: int
     interior_max_mod: float
     interior_ok: bool
-    boundary_count: int
     boundary_min_mod: float
     boundary_max_mod: float
     boundary_ok: bool
@@ -415,13 +411,10 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
     b_max = max(boundary_mods)
 
     return TransientReport(
-        r_probe=r_probe,
         tail_product=tail,
         lower_bound=lower,
-        interior_count=take,
         interior_max_mod=interior_max,
         interior_ok=interior_max < INTERIOR_THRESHOLD,
-        boundary_count=sample_count,
         boundary_min_mod=b_min,
         boundary_max_mod=b_max,
         boundary_ok=(b_min >= lower and b_max <= 1.0 + 1e-12 and chain_resid < 1e-9),
@@ -431,6 +424,9 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """The claim and its evidence: printed key to plain value (str, int,
+    float or bool), in the order the checks ran."""
+
     regime: str
     claimed_spectrum: str  # "E" or "boundary_of_E"
     evidence: dict
@@ -449,7 +445,7 @@ def classify_spectrum(sys: FiberedSystem, depth: int, resolution: int = 256,
     eigen-equation residuals and (in the transient regime) the limit probe
     gate ``ok``.  The probe is skipped with ``transient_skip_reason``'s
     reason, leaving ``ok`` as it is, and a probe that raises ``ValueError``
-    is failed evidence, recorded as ``transient_limits_error``.
+    is failed evidence, recorded with its message.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
@@ -461,11 +457,12 @@ def classify_spectrum(sys: FiberedSystem, depth: int, resolution: int = 256,
     ps = point_spectrum(sys, depth, cap=ROOT_CAP)
     n = largest_level(sys.base, 2048)
     eig = verify_eigenpairs(sys, ps.all_roots(), n, tol=1e-8)
-    evidence: dict = {"eigenpairs": eig, "point_spectrum_capped": ps.capped}
+    evidence: dict = {"eigen_max_residual": eig.max_residual, "eigen_states": eig.n_states,
+                      "point_spectrum_capped": ps.capped}
     try:
         sup_dist, coverage = boundary_density(band_grid, list(ps.levels))
     except ValueError as exc:
-        evidence["boundary_density_skipped"] = str(exc)
+        evidence["boundary_density"] = f"skipped ({exc})"
     else:
         evidence["boundary_sup_min_dist"] = sup_dist
         evidence["boundary_coverage"] = coverage
@@ -473,17 +470,19 @@ def classify_spectrum(sys: FiberedSystem, depth: int, resolution: int = 256,
     if claimed == "boundary_of_E":
         reason = transient_skip_reason(sys.probs)
         if reason is not None:
-            evidence["transient_limits_skipped"] = reason
+            evidence["transient_limits"] = f"skipped ({reason})"
         else:
             deep_grid = render(sys, DEFAULT_WINDOW, res)
             try:
                 trep = transient_limit_check(sys, deep_grid, sample_count=20,
                                              r_probe=60, seed=seed)
             except ValueError as exc:
-                evidence["transient_limits_error"] = str(exc)
+                evidence["transient_limits"] = f"error ({exc})"
                 ok = False
             else:
-                evidence["transient_limits"] = trep
+                evidence["transient_interior_max"] = trep.interior_max_mod
+                evidence["transient_boundary_min"] = trep.boundary_min_mod
+                evidence["transient_boundary_max"] = trep.boundary_max_mod
                 ok = ok and trep.ok
     return SpectrumReport(regime, claimed, evidence, ok)
 

@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 
 import stochadd
-from stochadd import julia
-from stochadd.cli import FACTORIZATION_DRAWS, PRESETS, _escape_samples, _suite_factorization, main
+from stochadd import julia, machine, spectrum
+from stochadd.cli import (
+    FACTORIZATION_DRAWS,
+    PRESETS,
+    RENORM_STATES,
+    _escape_samples,
+    _suite_factorization,
+    main,
+)
 from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
 
 
@@ -167,6 +174,30 @@ class TestVerify:
         assert code == 0
         assert out.startswith("PASS renorm")
 
+    def test_renorm_over_the_state_limit_fails_before_building(self, capsys, monkeypatch):
+        # d_1 * 4 d_2 = 2 * 1028 fine states, one over the limit.
+        def renorm_check(*args):
+            raise AssertionError("renorm_check called over the state limit")
+
+        monkeypatch.setattr(machine, "renorm_check", renorm_check)
+        code, out, _ = run(capsys, "verify", "--suite", "renorm", "--base", "list:2,257;tail=2",
+                           "--probs", "pconst:0.7")
+        assert code == 1
+        assert out == f"FAIL renorm custom error=renorm needs 2056 fine states, over {RENORM_STATES}\n"
+
+    def test_renorm_at_the_state_limit_runs(self, capsys, monkeypatch):
+        calls = []
+
+        def renorm_check(r, n2, base, probs):
+            calls.append((r, n2))
+            return machine.RenormReport(r, 2 * n2, n2, 0, 0.0, 0.0)
+
+        monkeypatch.setattr(machine, "renorm_check", renorm_check)
+        code, out, _ = run(capsys, "verify", "--suite", "renorm", "--base", "list:2,256;tail=2",
+                           "--probs", "pconst:0.7")
+        assert (code, calls) == (0, [(1, RENORM_STATES // 2)])
+        assert out == "PASS renorm custom n2=1024 max_diff=0\n"
+
     def test_unknown_suite_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--suite", "bogus"])
@@ -181,6 +212,16 @@ class TestVerify:
         lines = path.read_text().splitlines()
         assert "eigenpairs.custom.result=pass" in lines
         assert any(l.startswith("eigenpairs.custom.max_resid=") for l in lines)
+
+    def test_report_file_keeps_error_message_whole(self, capsys, tmp_path):
+        # 0.5**1070 is subnormal and positive: the probe runs and raises.
+        path = tmp_path / "report.txt"
+        code, _, _ = run(capsys, "verify", "--suite", "transient", "--base", "const:2",
+                         "--probs", "plist:" + ",".join(["0.5"] * 1070) + ";tail=1",
+                         "--out", str(path))
+        assert code == 1
+        assert path.read_text() == ("transient.custom.result=fail\n"
+                                    "transient.custom.error=grid has no deep-interior pixels\n")
 
     def test_check_failure_exit_code(self, capsys, monkeypatch):
         import stochadd.cli as cli_mod
@@ -223,11 +264,14 @@ class TestVerify:
         assert out == ("PASS transient custom skipped "
                        "(probability product positive but below double precision)\n")
 
-    def test_transient_skip_vanishing_product(self, capsys):
+    def test_transient_skip_vanishing_product(self, capsys, tmp_path):
+        path = tmp_path / "report.txt"
         code, out, _ = run(capsys, "verify", "--suite", "transient", "--base", "const:3",
-                           "--probs", "pconst:0.7")
+                           "--probs", "pconst:0.7", "--out", str(path))
         assert code == 0
         assert out == "PASS transient custom skipped (vanishing probability product)\n"
+        # The skip note holds no "=", so the report file has only the result.
+        assert path.read_text() == "transient.custom.result=pass\n"
 
     def test_fill_without_certified_chains_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "witness", "--base", "const:2",
@@ -325,10 +369,30 @@ def test_import_leaves_scipy_spatial_unloaded():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["digits", "8", "--base", "const:3"],
+    ["render", "--preset", "fig6a", "--res", "16x16", "--out", "{tmp}/fig6a"],
+    ["roots", "--preset", "fig3a", "--depth", "3"],
+    ["simulate", "--preset", "fig3a", "--steps", "5"],
+], ids=["digits", "render", "roots", "simulate"])
+def test_subcommand_leaves_scipy_unloaded(tmp_path, argv):
+    # Only build_matrix and boundary_density need scipy, and each imports it itself.
+    src = Path(stochadd.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys; from stochadd.cli import main; code = main(sys.argv[1:]); "
+            "sys.stderr.write(repr(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))); "
+            "sys.exit(code)")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stderr == "[]"
+
+
 class TestReport:
     KEYS = {"base", "probs", "regime", "claimed_spectrum", "eigen_max_residual",
-            "eigen_states", "boundary_sup_min_dist", "boundary_coverage",
-            "transient_interior_max", "transient_boundary_min",
+            "eigen_states", "point_spectrum_capped", "boundary_sup_min_dist",
+            "boundary_coverage", "transient_interior_max", "transient_boundary_min",
             "transient_boundary_max", "ok"}
 
     def test_transient_preset(self, capsys):
@@ -352,7 +416,8 @@ class TestReport:
         assert code == 0
         fields = dict(line.split("=", 1) for line in out.splitlines())
         assert set(fields) == {"base", "probs", "regime", "claimed_spectrum",
-                               "eigen_max_residual", "eigen_states", "boundary_density", "ok"}
+                               "eigen_max_residual", "eigen_states", "point_spectrum_capped",
+                               "boundary_density", "ok"}
         assert fields["boundary_density"] == "skipped (grid has no boundary pixels)"
         assert fields["regime"] == "null_recurrent_like"
         assert fields["ok"] == "true"
@@ -364,7 +429,28 @@ class TestReport:
         fields = dict(line.split("=", 1) for line in out.splitlines())
         assert code == 1
         assert fields["eigen_max_residual"] == "0" and fields["ok"] == "false"
+        assert fields["point_spectrum_capped"] == "true"
         assert fields["boundary_density"] == "skipped (no roots supplied)"
+
+    def test_cap_hit_is_printed(self, capsys):
+        # depth 1 has 1000 roots; depth 2 would have 300000 > ROOT_CAP.
+        code, out, _ = run(capsys, "report", "--base", "list:1000,300;tail=2", "--probs",
+                           "pconst:0.7", "--depth", "2", "--resolution", "64")
+        fields = dict(line.split("=", 1) for line in out.splitlines())
+        assert code == 0
+        assert fields["point_spectrum_capped"] == "true"
+
+    def test_prints_the_evidence_record_in_order(self, capsys):
+        code, out, _ = run(capsys, "report", "--preset", "fig3a", "--depth", "2",
+                           "--resolution", "64")
+        base, probs = PRESETS["fig3a"]
+        rep = spectrum.classify_spectrum(
+            julia.FiberedSystem(parse_base_spec(base), parse_probs_spec(probs)), 2,
+            resolution=64)
+        assert all(type(value) in (str, int, float, bool) for value in rep.evidence.values())
+        keys = [line.split("=", 1)[0] for line in out.splitlines()]
+        assert keys == ["base", "probs", "regime", "claimed_spectrum", *rep.evidence, "ok"]
+        assert code == 0
 
     def test_overflowing_eigenvectors_fail_without_warnings(self, capsys):
         with warnings.catch_warnings():
