@@ -9,6 +9,7 @@ seed; floats print with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys as _sys
 import traceback
@@ -128,6 +129,8 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
         win = tuple(float(p) for p in parts)
     except ValueError as exc:
         raise UsageError(f"bad window {text!r}") from exc
+    if not all(map(math.isfinite, (*win, win[1] - win[0], win[3] - win[2]))):
+        raise UsageError("window bounds, width and height must be finite")
     if not (win[1] > win[0] and win[3] > win[2]):
         raise UsageError("window has zero area")
     return win

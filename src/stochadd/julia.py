@@ -423,15 +423,37 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
            threads: int = 1) -> MembershipGrid:
     """Escape-time grid over pixel centers.
 
-    The rows are split into ``threads`` bands (one when ``threads < 1``), each
-    run through the escape kernel on its own thread; the grid is the same for
-    any thread count.  The trapping radii are computed once per call and
-    shared by the bands; each band builds only its own parameters.
+    A row whose centers are the exact conjugates of an earlier row's is not
+    run through the kernel: it copies that row's flags and stages.  The copy
+    is exact.  The centers of the two rows share their real parts, and their
+    imaginary parts are negatives as doubles.  Each step of the kernel
+    commutes with conjugation, because round-to-nearest commutes with
+    negation:
+
+    - ``z - c`` with c real;
+    - ``h * (1 / p)``;
+    - the complex products of ``_pow_int``, with or without a fused
+      multiply-add;
+    - ``np.abs``.
+
+    So the two orbits differ at most in the sign of a zero part, which no
+    modulus sees, and a NaN shows up in both or in neither.  Rows are paired
+    by value, not by bits; a row on the real axis (+0 or -0) is its own
+    mirror and is computed.
+
+    The computed rows are split into ``threads`` bands (one when
+    ``threads < 1``), each run through the escape kernel on its own thread;
+    the grid is the same for any thread count.  The trapping radii are
+    computed once per call and shared by the bands; each band builds only
+    its own parameters.
     """
     re_min, re_max, im_min, im_max = (float(x) for x in window)
     width, height = (int(x) for x in resolution)
     if width < 1 or height < 1:
         raise ValueError("resolution must be positive")
+    if not all(map(math.isfinite, (re_min, re_max, im_min, im_max,
+                                   re_max - re_min, im_max - im_min))):
+        raise ValueError("window bounds, width and height must be finite")
     if not (re_max > re_min and im_max > im_min):
         raise ValueError("window has zero area")
     if depth < 1:
@@ -450,10 +472,24 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
         grid.escaped[rows] = escaped.reshape(-1, width)
         grid.stage[rows] = stage.reshape(-1, width)
 
-    # Whole rows per band, at least one band; the bands cover every row once.
-    bands = np.array_split(np.arange(height), max(1, min(threads, height)))
+    # Row j copies the first computed row i whose imaginary part is -im[j].
+    computed, mirrors, sources = [], [], []
+    first = {}
+    for j, y in enumerate(grid.center_at(np.arange(height), 0).imag.tolist()):
+        i = first.get(-y) if y else None
+        if i is None:
+            first.setdefault(y, j)
+            computed.append(j)
+        else:
+            mirrors.append(j)
+            sources.append(i)
+
+    # Whole rows per band, at least one band; the bands cover every computed row once.
+    bands = np.array_split(np.array(computed), max(1, min(threads, len(computed))))
     with ThreadPoolExecutor(max_workers=len(bands)) as pool:
         list(pool.map(band, bands))  # reading the results re-raises a band's error
+    grid.escaped[mirrors] = grid.escaped[sources]
+    grid.stage[mirrors] = grid.stage[sources]
     return grid
 
 
@@ -497,7 +533,8 @@ def write_pgm(grid: MembershipGrid, path) -> None:
     """Binary PGM: 255 for bounded pixels, else floor(254 * stage / depth),
     read from a table of depth + 1 shades indexed by stage."""
     shade = np.floor(254.0 * np.arange(grid.depth + 1) / grid.depth).astype(np.uint8)
-    img = np.where(grid.escaped, shade[grid.stage], np.uint8(255))
+    img = np.take(shade, grid.stage)
+    img[~grid.escaped] = 255
     with open(path, "wb") as fh:
         fh.write(f"P5\n{grid.width} {grid.height}\n255\n".encode("ascii"))
         fh.write(img)

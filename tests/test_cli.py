@@ -114,6 +114,13 @@ class TestRender:
         assert code == 2
         assert "zero area" in err
 
+    def test_non_finite_window_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "render", "--preset", "fig3a", "--res", "8x8",
+                             "--window=-1,1,-1,1e400", "--out", str(tmp_path / "x"))
+        assert code == 2
+        assert "finite" in err and out == ""
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_byte_identical_runs(self, capsys, tmp_path):
         for prefix in ("a", "b"):
             run(capsys, "render", "--preset", "fig10a", "--res", "32x32",

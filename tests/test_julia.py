@@ -451,6 +451,13 @@ class TestRender:
         with pytest.raises(ValueError):
             render(SYS_DISK, (1.0, 1.0, 0.0, 1.0), (8, 8), 5)
 
+    @pytest.mark.parametrize("window", [(-1.0, 1.0, -1.0, 1e400), (-1e308, 1e308, -1.0, 1.0),
+                                        (-1.0, 1.0, float("-inf"), 1.0),
+                                        (float("nan"), 1.0, -1.0, 1.0)])
+    def test_non_finite_window(self, window):
+        with pytest.raises(ValueError, match="finite"):
+            render(SYS_DISK, window, (8, 8), 5)
+
     def test_band_depth_scales(self):
         assert band_depth((256, 256)) == 12
         assert band_depth((1024, 1024)) == 15
@@ -814,3 +821,103 @@ class TestBlockedKernel:
         writable = before.copy()
         _render_band(sysm, writable, 200)
         assert writable.tobytes() == before.tobytes()
+
+
+def with_imag(re, im):
+    """Complex array with the given parts, stored as they are (signed zeros kept)."""
+    z = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    z.real = re
+    z.imag = im
+    return z
+
+
+# Two rows on fig3a's boundary circle |lam - 0.3| = 0.7, where stages 2.. are
+# z -> z**3 and the last bits of a centre decide its escape.  The window is
+# symmetric, but the rows' imaginary parts are 0.6999999999999998 and -0.7.
+ONE_ULP_WINDOW = (0.3 - 2e-8, 0.3 + 2e-8, -1.3999999999999997, 1.3999999999999997)
+
+
+class TestMirrorRows:
+    """``render`` copies a row whose centres are the exact conjugates of an
+    earlier row's instead of running it through the kernel."""
+
+    @given(st.sampled_from(sorted(PRESETS)), st.sampled_from([12, 200]),
+           st.sampled_from([1.0, 1e6, float("inf")]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_commutes_with_conjugation(self, name, depth, bailout, seed):
+        # With an infinite bailout the orbits that leave the disk run on until
+        # their powers overflow to inf and then NaN at deep stages.
+        sysm = PRESET_SYSTEMS[name]
+        rng = np.random.default_rng(seed)
+        probe = probe_parameters(sysm, depth, rng)
+        axis = rng.uniform(-1.6, 1.6, 40)
+        huge = rng.uniform(-1, 1, (40, 2)) * 10.0 ** rng.integers(0, 309, (40, 1))
+        lam = np.concatenate([probe, with_imag(axis, 0.0), with_imag(axis, -0.0),
+                              with_imag(probe.real, -0.0), huge.view(complex)[:, 0]])
+        esc, stage = _render_band(sysm, lam, depth, bailout)
+        conj_esc, conj_stage = _render_band(sysm, np.conj(lam), depth, bailout)
+        assert np.array_equal(esc, conj_esc)
+        assert np.array_equal(stage, conj_stage)
+
+    @pytest.mark.parametrize("window, resolution", [
+        (DEFAULT_WINDOW, (64, 64)),
+        (DEFAULT_WINDOW, (192, 192)),
+        (DEFAULT_WINDOW, (256, 256)),
+        ((-1.5, 1.5, -1.25, 1.75), (192, 192)),  # 80 rows pair, off the window's centre
+        ((-1.6, 1.6, -1.2, 1.6), (192, 192)),  # no row pairs
+        (ONE_ULP_WINDOW, (64, 2)),  # no row pairs; a one-ulp pairing fails fig3a
+    ])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_render_matches_untrapped_kernel(self, name, window, resolution):
+        sysm = PRESET_SYSTEMS[name]
+        want = None
+        for threads in (0, 1, 2, 3, 7):
+            grid = render(sysm, window, resolution, 200, threads=threads)
+            if want is None:
+                lam = grid.center_at(*np.indices(grid.escaped.shape)).reshape(-1)
+                want = untrapped_band(sysm, lam, 200)
+            assert np.array_equal(grid.escaped.reshape(-1), want[0])
+            assert np.array_equal(grid.stage.reshape(-1), want[1])
+
+    def test_rows_one_ulp_from_mirrors_differ(self):
+        grid = render(PRESET_SYSTEMS["fig3a"], ONE_ULP_WINDOW, (64, 2), 200)
+        im = grid.center_at(np.arange(2), 0).imag
+        assert abs(im[0] + im[1]) == math.ulp(im[0])
+        assert (grid.stage[0] != grid.stage[1]).any()
+
+    @staticmethod
+    def kernel_sizes(monkeypatch):
+        """Record the number of parameters of every ``_band_kernel`` call."""
+        sizes = []
+        kernel = julia._band_kernel
+
+        def counting(sysm, lam_flat, *args):
+            sizes.append(lam_flat.size)
+            return kernel(sysm, lam_flat, *args)
+
+        monkeypatch.setattr(julia, "_band_kernel", counting)
+        return sizes
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_kernel_runs_computed_rows_only(self, monkeypatch, threads):
+        sizes = self.kernel_sizes(monkeypatch)
+        render(PRESET_SYSTEMS["fig3a"], DEFAULT_WINDOW, (512, 512), 12, threads=threads)
+        assert sum(sizes) == 350 * 512  # 162 of the 512 rows are copies
+        sizes.clear()
+        render(PRESET_SYSTEMS["fig3a"], (-1.6, 1.6, -1.2, 1.6), (192, 192), 12, threads=threads)
+        assert sum(sizes) == 192 * 192
+
+    # Rows of (-1.5, 1.5, -1.5, 1.5): [0]; [0.75, -0.75]; [1, 0, -1].
+    @pytest.mark.parametrize("height, computed", [(1, 1), (2, 1), (3, 2)])
+    def test_few_rows(self, monkeypatch, height, computed):
+        sizes = self.kernel_sizes(monkeypatch)
+        for threads in (0, 1, 2, 3, 7):
+            sizes.clear()
+            grid = render(SYS_DISK, (-1.5, 1.5, -1.5, 1.5), (40, height), 200, threads=threads)
+            assert sum(sizes) == 40 * computed
+            assert len(sizes) == max(1, min(threads, computed))  # no band is empty
+            lam = grid.center_at(*np.indices(grid.escaped.shape)).reshape(-1)
+            esc, stage = untrapped_band(SYS_DISK, lam, 200)
+            assert 0 < esc.sum() < esc.size
+            assert np.array_equal(grid.escaped.reshape(-1), esc)
+            assert np.array_equal(grid.stage.reshape(-1), stage)
