@@ -148,8 +148,21 @@ def _stage(z, d: int, p: float, c: float):
 
 
 def _jet(z, d: int, p: float, c: float):
-    """(f(z), f'(z)) for the stage map with table entries d, p, c; f(z) has ``_stage``'s bits."""
+    """(f(z), f'(z)) for the stage map with table entries d, p, c; f(z) has ``_stage``'s bits.
+
+    For an array the derivative d h ** (d-1) is multiplied by fl(1 / p), not
+    divided by p, and the two differ only in the sign of a zero part.  numpy
+    divides a complex array by p + 0j with Smith's formula: rat = 0 / p = 0,
+    scl = fl(1 / (p + 0 rat)) = fl(1 / p), and the parts are
+    (x + y rat) scl and (y - x rat) scl.  Multiplying by fl(1 / p) + 0j gives
+    x scl - y 0 and x 0 + y scl.  A product with a zero factor is a signed
+    zero, or NaN when the other factor is infinite or NaN, and adding a signed
+    zero changes nothing but the sign of a zero; a NaN lands in the same part
+    either way.  Scalars keep their correctly rounded division.
+    """
     h = _rescale(z, p, c)
+    if isinstance(h, np.ndarray):
+        return _pow_int(h, d), d * _pow_int(h, d - 1) * (1.0 / p)
     return _pow_int(h, d), d * _pow_int(h, d - 1) / p
 
 
@@ -202,30 +215,43 @@ def eigvec(sys: FiberedSystem, lam: complex, n: int) -> np.ndarray:
 
 
 def witness(sys: FiberedSystem, lam: complex, t: int, n: int) -> np.ndarray:
-    """Depth-t truncated eigen-witness: entry m is prod_{r<=t} v_r ** a_r(m)
-    over the stage values v_r and the digits a_r(m) of m, with 0**0 = 1.
+    """Depth-t truncated eigen-witness of lam: the one row of ``witnesses``."""
+    return witnesses(sys, [lam], t, n)[0]
+
+
+def witnesses(sys: FiberedSystem, lams, t: int, n: int) -> np.ndarray:
+    """Depth-t truncated eigen-witnesses, one row of length n per lam: entry m
+    is prod_{r<=t} v_r ** a_r(m) over the stage values v_r of lam and the
+    digits a_r(m) of m, with 0**0 = 1.
 
     Built one level block at a time: the block of states below q_r is d_r
     copies of the block below q_{r-1}, copy a times v_r ** a, so each product
     still runs in digit order.  Blocks are cut at n; past stage t the entries
-    repeat with period q_t.
+    repeat with period q_t.  The stage values and the power tables are
+    computed per lam in scalar arithmetic, as for a single witness; each
+    block is one broadcast multiply over all rows, and every row gets the
+    bits that lam alone would.
     """
     if t < 1 or n < 1:
         raise ValueError("t and n must be >= 1")
     cut = min(t, len(levels(sys.base, n - 1)) + 1)
     d = sys.stages(cut)[0]
-    out = np.ones(1, dtype=complex)
+    vals = [stage_values(sys, lam, cut) for lam in lams]
+    out = np.ones((len(vals), 1), dtype=complex)
     # Powers of a large stage value may overflow; the inf and NaN entries stay
     # in the witness, for the eigen-residual to report.
     with np.errstate(over="ignore", invalid="ignore"):
-        for r, i in enumerate(stage_values(sys, lam, cut), start=1):
+        for r in range(1, cut + 1):
             # Below n, digit r stays under n / q_{r-1}: a block is at most 2n long.
-            table = np.empty(min(d[r], -(-n // out.size)), dtype=complex)
-            table[0] = 1.0 + 0.0j
-            for e in range(1, table.size):
-                table[e] = table[e - 1] * i
-            out = (out[None, :] * table[:, None]).reshape(-1)[:n]
-    return np.tile(out, -(-n // out.size))[:n]
+            tables = np.empty((len(vals), min(d[r], -(-n // out.shape[1]))), dtype=complex)
+            tables[:, 0] = 1.0 + 0.0j
+            for table, v in zip(tables, vals):
+                i = v[r - 1]
+                for e in range(1, table.size):
+                    table[e] = table[e - 1] * i
+            block = out[:, None, :] * tables[:, :, None]
+            out = block.reshape(len(vals), block.shape[1] * block.shape[2])[:, :n]
+    return np.tile(out, (1, -(-n // out.shape[1])))[:, :n]
 
 
 def _bounded_stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex] | None:

@@ -29,8 +29,8 @@ from .julia import (
     _stage,
     band_depth,
     boundary_pixels,
-    eigvec,
     render,
+    witnesses,
 )
 from .machine import RECURRENT, TRANSIENT, SparseTransitionMatrix, build_matrix, classify_chain
 from .numeration import ProbSeq, largest_level, levels
@@ -118,7 +118,9 @@ def point_spectrum(sys: FiberedSystem, r_max: int, cap: int = ROOT_CAP) -> Point
         w = _composed_newton(sys, w, depth)
         if not np.isfinite(w).all():
             raise ValueError("roots must be finite, check for nan or inf values")
-        sets.append(RootSet(depth, w[np.lexsort((w.imag, w.real))]))
+        # Complex order is (real, imag), and a stable sort keeps ties in place,
+        # as lexsort((imag, real)) would.
+        sets.append(RootSet(depth, np.sort(w, kind="stable")))
     return PointSpectrum(tuple(sets), depth_max < r_max)
 
 
@@ -130,9 +132,25 @@ class EigenReport:
     ok: bool
 
 
-def eigen_residual(mat: SparseTransitionMatrix, lam, v: np.ndarray) -> float:
-    """max |((S - lam I) v)_m| over the unclipped rows m of the truncation S."""
-    return float(np.abs((mat.to_csr() @ v - lam * v)[mat.unclipped_mask()]).max())
+# Witness entries per batch of the eigen check, about 2**18 / n roots of n
+# states: an (n, batch) complex array takes 4 MiB, a witness block before its
+# cut at n at most 8 MiB, and a batch holds a few such arrays at once.
+EIGEN_BATCH = 2**18
+
+
+def eigen_residuals(mat: SparseTransitionMatrix, lams, vecs: np.ndarray) -> np.ndarray:
+    """max |((S - lam I) v)_m| over the unclipped rows m of the truncation S,
+    for each lam and its row v of ``vecs``.
+
+    The columns of ``vecs.T`` are multiplied in one CSR product.  Each
+    residual has the bits of one matrix-vector product per root: the CSR
+    product adds the same terms in the same order, and lam multiplies v with
+    lam as the first operand (numpy's complex multiply is not bitwise
+    commutative).  The maximum propagates a NaN residual.
+    """
+    v = vecs.T
+    resid = mat.to_csr() @ v - np.asarray(lams, dtype=complex)[None, :] * v
+    return np.abs(resid[mat.unclipped_mask()]).max(axis=0)
 
 
 def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9) -> EigenReport:
@@ -140,18 +158,26 @@ def verify_eigenpairs(sys: FiberedSystem, roots, n: int, tol: float = 1e-9) -> E
 
     For each candidate eigenvalue lam the candidate eigenvector is built and
     the sup-norm of (S - lam I) v over unclipped rows compared to ``tol``.
-    A report over no roots is not ``ok``: it checked nothing.
+    The truncation is built once; the roots go through ``witnesses`` and
+    ``eigen_residuals`` in batches of ``EIGEN_BATCH // n``.  A report over no
+    roots is not ``ok``: it checked nothing.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     mat = build_matrix(n, sys.base, sys.probs)
-    items = tuple((complex(lam), eigen_residual(mat, lam, eigvec(sys, complex(lam), n)))
-                  for lam in np.asarray(roots, dtype=complex))
+    lams = np.asarray(roots, dtype=complex)
+    step = max(1, EIGEN_BATCH // n)
+    resid = np.empty(lams.size)
+    for start in range(0, lams.size, step):
+        batch = lams[start:start + step]
+        resid[start:start + step] = eigen_residuals(mat, batch, witnesses(sys, batch, n, n))
+    items = tuple(zip(lams.tolist(), resid.tolist()))
     # np.max, unlike max, propagates a NaN residual, which then fails ``ok``.
-    worst = float(np.max([resid for _, resid in items], initial=0.0))
+    worst = float(np.max(resid, initial=0.0))
     return EigenReport(n, items, worst, bool(items) and worst <= tol)
 
 
+ROOT_LEAFSIZE = 128  # points per leaf of the root KD-tree: a shallower tree builds faster
 LATTICE_REACH = 1.4  # pixel diagonals between centres that decide coverage on the lattice
 LATTICE_SPAN = 2.0**40  # window coordinates, in pixel diagonals, up to which the lattice decides
 
@@ -227,10 +253,10 @@ def boundary_density(grid: MembershipGrid, rootsets) -> tuple[float, float]:
     cpts = np.column_stack([centers.real, centers.imag])
     rpts = np.column_stack([roots.real, roots.imag])
     # Each tree answers one query, so balancing it costs more than it saves;
-    # a nearest distance does not depend on the tree's shape.  The root tree
-    # comes first: it rejects non-finite roots.
+    # a nearest distance does not depend on the tree's shape, nor on its
+    # leaf size.  The root tree comes first: it rejects non-finite roots.
     unbalanced = {"balanced_tree": False, "compact_nodes": False}
-    dist_to_root, _ = cKDTree(rpts, **unbalanced).query(cpts)
+    dist_to_root, _ = cKDTree(rpts, leafsize=ROOT_LEAFSIZE, **unbalanced).query(cpts)
     boundary = np.zeros(grid.escaped.shape, dtype=bool)
     boundary[pix[:, 0], pix[:, 1]] = True
     near = _lattice_covered(grid, boundary, roots)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
 TINY_P = "plist:" + ",".join(["1e-8"] * 41) + ";tail=1"
 PINNED_VERIFY_STDOUT = json.loads((Path(__file__).parent / "verify_stdout.json").read_text())
 PINNED_MATRIX_STDOUT = json.loads((Path(__file__).parent / "matrix_stdout.json").read_text())
+PINNED_REPORT_STDOUT = json.loads((Path(__file__).parent / "report_stdout.json").read_text())
 
 
 def run(capsys, *argv):
@@ -323,6 +325,32 @@ class TestVerify:
         assert code == 0
         assert out.splitlines() == PINNED_VERIFY_STDOUT[f"{suite} {seed}"]
 
+    def test_nan_witness_residual_fails(self, capsys, monkeypatch):
+        # Python's max(x, nan) is x, so a NaN residual once passed this check.
+        def eigen_residuals(mat, lams, vecs):
+            resid = real_residuals(mat, lams, vecs)
+            resid[3] = math.nan
+            return resid
+
+        real_residuals = spectrum.eigen_residuals
+        monkeypatch.setattr(spectrum, "eigen_residuals", eigen_residuals)
+        code, out, _ = run(capsys, "verify", "--suite", "witness", "--preset", "fig3a")
+        assert code == 1
+        assert out == "FAIL witness fig3a n=729 worst_over_bound=nan\n"
+
+    def test_nan_factorization_residual_fails(self, capsys, monkeypatch):
+        calls = []
+
+        def residual(*args):
+            calls.append(args)
+            return math.nan if len(calls) == 2 else real_residual(*args)
+
+        real_residual = julia._factorization_residual
+        monkeypatch.setattr(julia, "_factorization_residual", residual)
+        code, out, _ = run(capsys, "verify", "--suite", "factorization", "--preset", "fig3a")
+        assert code == 1 and len(calls) == 100
+        assert out == "FAIL factorization fig3a cases=100 worst_resid=nan\n"
+
 
 def reference_factorization(sysm, seed):
     """The factorization suite as a scalar ``orbit`` test of each draw, then
@@ -466,6 +494,15 @@ class TestReport:
         fields = dict(line.split("=", 1) for line in out.splitlines())
         assert code == 1
         assert fields["eigen_max_residual"] == "nan" and fields["ok"] == "false"
+
+    @pytest.mark.parametrize("preset", sorted(PINNED_REPORT_STDOUT))
+    def test_stdout_is_pinned(self, capsys, preset):
+        # The evidence printed when each root had its own eigenvector and
+        # matrix-vector product: a moved last bit of a residual, a root or a
+        # distance shows here.
+        code, out, _ = run(capsys, "report", "--preset", preset, "--depth", "6")
+        assert code == 0
+        assert out.splitlines() == PINNED_REPORT_STDOUT[preset]
 
     def test_needs_a_configuration(self, capsys):
         code, _, err = run(capsys, "report")

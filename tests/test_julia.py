@@ -26,6 +26,7 @@ from stochadd.julia import (
     stage_map,
     stage_values,
     witness,
+    witnesses,
     write_metadata,
     write_pbm,
     write_pgm,
@@ -35,6 +36,8 @@ from stochadd.numeration import (
     BaseSeq,
     ProbSeq,
     base_product,
+    largest_level,
+    levels,
     parse_base_spec,
     parse_probs_spec,
     to_digits,
@@ -325,6 +328,57 @@ class TestWitnessEntries:
         assert peak < 100_000
         np.testing.assert_allclose(got, witness_oracle(sysm, 0.3 + 0.2j, 5, 3),
                                    rtol=1e-13, atol=0)
+
+
+def single_witness(sysm, lam, t, n):
+    """The witness of one lam as it was built alone, before ``witnesses``:
+    each level block one multiply of a 1-D block by a 1-D power table."""
+    cut = min(t, len(levels(sysm.base, n - 1)) + 1)
+    d = sysm.stages(cut)[0]
+    out = np.ones(1, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r, i in enumerate(stage_values(sysm, lam, cut), start=1):
+            table = np.empty(min(d[r], -(-n // out.size)), dtype=complex)
+            table[0] = 1.0 + 0.0j
+            for e in range(1, table.size):
+                table[e] = table[e - 1] * i
+            out = (out[None, :] * table[:, None]).reshape(-1)[:n]
+    return np.tile(out, -(-n // out.size))[:n]
+
+
+def bits(a):
+    """The bits of a complex array, so that NaN equals NaN and -0 differs from 0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestWitnesses:
+    """Each row of ``witnesses`` has the bits of the one-lam oracle
+    ``single_witness``: the batch changes how the blocks are multiplied, not
+    what."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_rows_match_single_witness(self, name):
+        from stochadd.spectrum import point_spectrum, sample_bounded
+        sysm = PRESET_SYSTEMS[name]
+        roots = point_spectrum(sysm, 3).all_roots()
+        # 1 - p_1 has stage value 0, so 0**0 = 1 shows; 3 + 2j escapes, and
+        # its powers overflow to inf and NaN.
+        lams = [sysm.stages(1)[2][1], 3 + 2j, 1e30j, *roots[::7],
+                *sample_bounded(sysm, 3, depth=200, seed=2)]
+        for n in (1, 7, 100, largest_level(sysm.base, 2048), 2048):
+            for t in (1, 2, 5, n):
+                got = witnesses(sysm, lams, t, n)
+                assert got.shape == (len(lams), n)
+                for lam, row in zip(lams, got):
+                    assert np.array_equal(bits(row), bits(single_witness(sysm, lam, t, n)))
+
+    def test_no_rows(self):
+        assert witnesses(SYS_37, [], 3, 10).shape == (0, 10)
+
+    @pytest.mark.parametrize("t, n", [(0, 5), (3, 0)])
+    def test_bad_arguments_raise(self, t, n):
+        with pytest.raises(ValueError, match="t and n must be >= 1"):
+            witnesses(SYS_37, [0.5], t, n)
 
 
 def factorization_oracle(sysm, lam, r, k):

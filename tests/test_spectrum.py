@@ -17,13 +17,24 @@ from stochadd.julia import (
     FiberedSystem,
     MembershipGrid,
     _jet,
+    _pow_int,
+    _rescale,
     band_depth,
     boundary_pixels,
+    eigvec,
     orbit,
     render,
     stage_map,
 )
-from stochadd.numeration import BaseSeq, ProbSeq, levels, parse_base_spec, parse_probs_spec
+from stochadd.machine import build_matrix
+from stochadd.numeration import (
+    BaseSeq,
+    ProbSeq,
+    largest_level,
+    levels,
+    parse_base_spec,
+    parse_probs_spec,
+)
 from stochadd.spectrum import (
     CHAIN_DEGREE_LIMIT,
     PointSpectrum,
@@ -33,6 +44,7 @@ from stochadd.spectrum import (
     _preimage_array,
     boundary_density,
     classify_spectrum,
+    eigen_residuals,
     point_spectrum,
     sample_bounded,
     transient_limit_check,
@@ -71,6 +83,37 @@ def max_gap(src, dst):
 def preimages(sysm, r, w):
     """The d_r solutions of f_r(z) = w."""
     return _preimage_array(sysm, r, np.asarray([w], dtype=complex)).reshape(-1)
+
+
+def dividing_jet(z, d, p, c):
+    """``_jet`` dividing the derivative by p, for arrays as for scalars."""
+    h = _rescale(z, p, c)
+    return _pow_int(h, d), d * _pow_int(h, d - 1) / p
+
+
+def reference_levels(sysm, depth_max, monkeypatch):
+    """``point_spectrum``'s levels through the dividing jet, each sorted by
+    ``lexsort`` on (real, imag)."""
+    out = []
+    with monkeypatch.context() as m:
+        m.setattr(spectrum, "_jet", dividing_jet)
+        for depth in range(1, depth_max + 1):
+            w = np.asarray([1.0 + 0.0j])
+            for j in range(depth, 0, -1):
+                w = _preimage_array(sysm, j, w).reshape(-1)
+            w = spectrum._composed_newton(sysm, w, depth)
+            out.append(w[np.lexsort((w.imag, w.real))])
+    return out
+
+
+def reference_residual(mat, lam, v):
+    """One root's eigen-residual: one CSR matrix-vector product, then lam * v."""
+    return float(np.abs((mat.to_csr() @ v - lam * v)[mat.unclipped_mask()]).max())
+
+
+def bits(a):
+    """The bits of a complex or float array, so that NaN equals NaN and -0 differs from 0."""
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 class TestPreimage:
@@ -184,6 +227,55 @@ class TestPointSpectrum:
                             assert abs(v - 1.0) < 1e-3
 
 
+class TestOracles:
+    """The array paths of ``point_spectrum`` give the bits of the dividing
+    jet and the two-key sort."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_levels_match_dividing_jet_and_lexsort(self, preset, monkeypatch):
+        sysm = system(preset)
+        depth_max = len(levels(sysm.base, 20_000))
+        want = reference_levels(sysm, depth_max, monkeypatch)
+        got = point_spectrum(sysm, depth_max, cap=20_000)
+        assert not got.capped and len(got.levels) == depth_max
+        for level, roots in zip(got.levels, want):
+            assert np.array_equal(bits(level.roots), bits(roots))
+
+    @pytest.mark.parametrize("p", [0.7, 0.55, 0.3, 0.81, 0.695, 0.704, 1.0, 1e-8])
+    @pytest.mark.parametrize("d", [1, 2, 3, 10])
+    def test_jet_differs_from_division_only_in_zero_signs(self, d, p):
+        rng = np.random.default_rng(d)
+        scale = 10.0 ** rng.integers(-300, 300, (500, 2))
+        z = (rng.uniform(-2, 2, (500, 2)) * scale).view(complex)[:, 0]
+        special = [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 1e300]
+        z = np.concatenate([z, [complex(x, y) for x in special for y in special]])
+        c = 1.0 - p
+        with np.errstate(over="ignore", invalid="ignore"):
+            fz, fpz = _jet(z, d, p, c)
+            want_fz, want_fpz = dividing_jet(z, d, p, c)
+        assert np.array_equal(bits(fz), bits(want_fz))
+        # At d = 1 the derivative is the scalar 1 / p.
+        fpz, want_fpz = np.broadcast_to(fpz, z.shape), np.broadcast_to(want_fpz, z.shape)
+        for got, want in ((fpz.real, want_fpz.real), (fpz.imag, want_fpz.imag)):
+            # == equates -0 and 0; NaN sits in the same places.
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(bits(got[got != 0]), bits(want[want != 0]))
+        # Scalars, numpy's or Python's, keep the division.
+        for x in [*z[::37], *z[::37].tolist()]:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = _jet(x, d, p, c)[1], dividing_jet(x, d, p, c)[1]
+            assert bits(np.array([got])).tolist() == bits(np.array([want])).tolist()
+
+    @given(st.lists(st.tuples(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0]),
+                              st.sampled_from([-2.0, -0.0, 0.0, 0.5, 3.0])),
+                    max_size=40))
+    @settings(max_examples=200)
+    def test_stable_sort_is_lexsort(self, pairs):
+        w = np.array([complex(*pair) for pair in pairs], dtype=complex)
+        assert np.array_equal(bits(np.sort(w, kind="stable")),
+                              bits(w[np.lexsort((w.imag, w.real))]))
+
+
 class TestDedup:
     """No merge looks at the roots, which are kept with multiplicity: a
     non-finite root must still raise, and roots crowding one real part must
@@ -247,6 +339,46 @@ class TestVerifyEigenpairs:
             rep = verify_eigenpairs(SYS_TINY_P, roots, 2048, tol=1e-8)
         assert any(math.isnan(resid) for _, resid in rep.residuals)
         assert math.isnan(rep.max_residual) and not rep.ok
+
+
+class TestBatchedEigenCheck:
+    """``verify_eigenpairs`` against one ``eigvec`` and one matrix-vector
+    product per root, bit for bit, in one batch and in several."""
+
+    @staticmethod
+    def assert_matches_one_root_path(sysm, roots, n, monkeypatch):
+        mat = build_matrix(n, sysm.base, sysm.probs)
+        want = [reference_residual(mat, lam, eigvec(sysm, lam, n)) for lam in roots]
+        for batch in (spectrum.EIGEN_BATCH, 7 * n, n):
+            monkeypatch.setattr(spectrum, "EIGEN_BATCH", batch)
+            rep = verify_eigenpairs(sysm, roots, n)
+            assert [lam for lam, _ in rep.residuals] == roots.tolist()
+            assert np.array_equal(bits(np.array([r for _, r in rep.residuals])),
+                                  bits(np.array(want)))
+            assert bits(np.array([rep.max_residual])) == bits(np.array([np.max(want)]))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets_at_largest_level(self, preset, monkeypatch):
+        sysm = system(preset)
+        n = largest_level(sysm.base, 2048)
+        ps = point_spectrum(sysm, 12, cap=20_000)
+        rng = np.random.default_rng(11)
+        roots = ps.all_roots()[rng.choice(ps.all_roots().size, 40, replace=False)]
+        roots = np.concatenate([roots, ps.levels[0].roots, [0.3 + 0.4j]])
+        self.assert_matches_one_root_path(sysm, roots, n, monkeypatch)
+
+    def test_overflowing_eigenvectors(self, monkeypatch):
+        roots = point_spectrum(SYS_TINY_P, 4).all_roots()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_matches_one_root_path(SYS_TINY_P, roots, 2048, monkeypatch)
+
+    def test_nan_in_any_column_propagates(self):
+        mat = build_matrix(27, SYS_37.base, SYS_37.probs)
+        vecs = np.ones((3, 27), dtype=complex)
+        vecs[1, 5] = complex(math.nan, 0.0)
+        resid = eigen_residuals(mat, [1.0, 1.0, 1.0], vecs)
+        assert math.isnan(resid[1]) and resid[0] == resid[2] == 0.0
 
 
 def two_tree_density(grid, rootsets):
@@ -345,6 +477,22 @@ class TestBoundaryDensity:
         rootsets = list(point_spectrum(sysm, depth).levels)
         assert float_hex(boundary_density(grid, rootsets)) == float_hex(
             two_tree_density(grid, rootsets))
+
+    @pytest.mark.parametrize("preset, depth", [("fig3a", 8), ("fig6a", 5), ("fig8a", 5),
+                                               ("fig10a", 7)])
+    def test_sup_distance_does_not_depend_on_leaf_size(self, preset, depth):
+        sysm = system(preset)
+        grid = band_grid(sysm, 256)
+        rootsets = list(point_spectrum(sysm, depth).levels)
+        roots = np.concatenate([rs.roots for rs in rootsets])
+        centers = grid.center_at(*boundary_pixels(grid).T)
+        cpts = np.column_stack([centers.real, centers.imag])
+        rpts = np.column_stack([roots.real, roots.imag])
+        want = cKDTree(rpts).query(cpts)[0].max().hex()
+        assert boundary_density(grid, rootsets)[0].hex() == want
+        for leafsize in (1, 16, 64, spectrum.ROOT_LEAFSIZE, 256, 4096):
+            tree = cKDTree(rpts, leafsize=leafsize, balanced_tree=False, compact_nodes=False)
+            assert tree.query(cpts)[0].max().hex() == want
 
     @pytest.mark.parametrize("res", [256, 512])
     @pytest.mark.parametrize("preset", sorted(PRESETS))
