@@ -403,42 +403,58 @@ def _band_kernel(sys: FiberedSystem, lam_flat: np.ndarray, depth: int, bailout: 
                  tau: list[float]) -> tuple[np.ndarray, np.ndarray]:
     """``_render_band`` with the radii ``tau`` already computed.
 
-    The orbit values and the positions of the live parameters are one copy of
-    ``lam_flat`` and one index array, made once.  Each stage runs over the
-    live prefix in slices of ``_BLOCK`` parameters and moves every survivor
-    of a slice to the front of both arrays, in order, so that each parameter
-    sees the same elementwise operations as when the whole prefix is mapped
-    at once.  Stages without a positive radius skip the compare.
+    Each stage runs over its parameters in slices of ``_BLOCK``.  Stage 1
+    reads ``lam_flat`` in place, converting one slice at a time to complex
+    (``np.asarray``: a complex slice is not copied); the position of a
+    parameter is ``start`` plus its offset in the slice.  Only stage 1's
+    survivors are stored: their values at the front of ``v`` and their
+    positions at the front of ``index``.  Each later stage maps that live
+    prefix and moves every survivor of a slice to the front of both arrays,
+    in order.  Stages without a positive radius skip the compare.  tau_0
+    traps at stage 1: a parameter with ``np.abs(lam) <= tau_0`` leaves after
+    it, and by ``_trap_radii``'s proof it does not escape there, so it is
+    never flagged.
+
+    No bit depends on the slicing.  Each parameter sees the same elementwise
+    operations on the same values as when every stage maps the whole live
+    set at once: ``z - c``, the product with 1 / p, the complex products of
+    ``_pow_int`` and ``np.abs``.  numpy's complex multiply and ``np.abs``
+    give each element the same bits whatever its position in the array: on
+    numpy 2.4.6, slices of 1 to 100 elements at 430 offsets matched the
+    whole array's results.  A strided ``lam_flat`` meets a strided loop only
+    in the tau_0 test, whose proof holds for any ``np.abs`` within
+    ``_trap_radii``'s error bound.
     """
     n = lam_flat.size
     escaped = np.zeros(n, dtype=bool)
     stage = np.full(n, depth, dtype=np.int32)
-    v = np.array(lam_flat, dtype=complex)  # orbit values; the first ``live`` are in play
-    index = np.arange(n)  # position in lam_flat of each value in v
+    v = np.empty(n, dtype=complex)  # orbit values; the first ``live`` are in play
+    index = np.empty(n, dtype=np.intp)  # position in lam_flat of each value in v
     live = n
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(depth + 1):
+        for r in range(1, depth + 1):
             if live == 0:
                 break
             trap = tau[r] if r < depth else _NO_TRAP
-            if r == 0 and not trap > 0.0:
-                continue  # stage 0 maps nothing and only traps
             kept = 0
             for start in range(0, live, _BLOCK):
                 stop = min(start + _BLOCK, live)
-                w = stage_map(sys, r, v[start:stop]) if r else v[start:stop]
+                z = np.asarray(lam_flat[start:stop], dtype=complex) if r == 1 else v[start:stop]
+                w = stage_map(sys, r, z)
                 mod = np.abs(w)
-                # Nothing escapes at stage 0; later a NaN modulus escapes too.
-                gone = ~(mod <= bailout) if r else np.zeros(mod.size, dtype=bool)
+                gone = ~(mod <= bailout)  # a NaN modulus escapes too
                 if gone.any():
-                    hit = index[start:stop][gone]
+                    hit = start + np.flatnonzero(gone) if r == 1 else index[start:stop][gone]
                     escaped[hit] = True
                     stage[hit] = r
                 if trap > 0.0:
                     gone |= mod <= trap
+                if r == 1 and tau[0] > 0.0:
+                    gone |= np.abs(z) <= tau[0]
                 keep = ~gone
                 moved = w[keep]
-                index[kept:kept + moved.size] = index[start:stop][keep]
+                index[kept:kept + moved.size] = (start + np.flatnonzero(keep) if r == 1
+                                                 else index[start:stop][keep])
                 v[kept:kept + moved.size] = moved
                 kept += moved.size
             live = kept

@@ -829,9 +829,9 @@ class TestTrappedKernel:
 
 
 class TestBlockedKernel:
-    """The stage loop runs over slices of ``julia._BLOCK`` parameters and
-    compacts the survivors in place; grids that span several slices must
-    still match the untrapped oracle."""
+    """The stage loop runs over slices of ``julia._BLOCK`` parameters, reads
+    stage 1's straight from the input and compacts the survivors in place;
+    grids that span several slices must still match the untrapped oracle."""
 
     # 300 x 130 is two full slices and a ragged third, with slice boundaries
     # mid-row; a 40 000-wide row spans three slices on its own
@@ -863,18 +863,56 @@ class TestBlockedKernel:
         assert_matches_oracle(sysm, lam, 200)
         assert_matches_oracle(sysm, lam, 60, bailout=1e6)
 
+    # Stage 1 reads the parameters in place and traps with tau_0 as well; at
+    # depth 1 it is the last stage, at depth 2 the next to last.  tau_0 is
+    # positive for fig3a and the unit disk, and for fig8a at depth 1 only.
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("bailout", [0.5, 1.0, 1e6])
+    @pytest.mark.parametrize("name", ["fig3a", "unit", "fig8a"])
+    def test_first_stages(self, monkeypatch, block, depth, bailout, name):
+        monkeypatch.setattr(julia, "_BLOCK", block)
+        sysm = SYS_DISK if name == "unit" else PRESET_SYSTEMS[name]
+        assert (_trap_radii(sysm, depth, 1.0)[0] > 0.0) == (name != "fig8a" or depth == 1)
+        lam = probe_parameters(sysm, depth, np.random.default_rng(13))
+        assert_matches_oracle(sysm, lam, depth, bailout)
+
     def test_input_is_left_unchanged(self):
         sysm = PRESET_SYSTEMS["fig3a"]
         rng = np.random.default_rng(12)
-        lam = rng.uniform(-1.6, 1.6, (3 * julia._BLOCK + 5, 2)).view(complex)[:, 0]
-        before = lam.copy()
-        lam.setflags(write=False)
-        esc = assert_matches_oracle(sysm, lam, 200)
-        assert 0 < esc.sum() < esc.size
-        assert lam.tobytes() == before.tobytes()
-        writable = before.copy()
-        _render_band(sysm, writable, 200)
-        assert writable.tobytes() == before.tobytes()
+        # sample_bounded's (re, im) rows read as complex, and a view that
+        # skips every other complex value
+        for columns, pick in ((2, 0), (4, 1)):
+            lam = rng.uniform(-1.6, 1.6, (3 * julia._BLOCK + 5, columns)).view(complex)[:, pick]
+            assert lam.flags.c_contiguous == (columns == 2)
+            before = lam.copy()
+            lam.setflags(write=False)
+            esc = assert_matches_oracle(sysm, lam, 200)
+            assert 0 < esc.sum() < esc.size
+            assert lam.tobytes() == before.tobytes()
+            writable = before.copy()
+            _render_band(sysm, writable, 200)
+            assert writable.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("block", [7, julia._BLOCK])
+    @pytest.mark.parametrize("name", ["fig3a", "fig8a", "unit"])
+    def test_input_is_converted_to_complex(self, monkeypatch, block, name):
+        # Each slice is converted to complex128, so the flags and stages are
+        # those of the same values passed as complex.  Mapped in complex64,
+        # the unit circle's points would escape by other roundings.
+        monkeypatch.setattr(julia, "_BLOCK", block)
+        sysm = SYS_DISK if name == "unit" else PRESET_SYSTEMS[name]
+        rng = np.random.default_rng(14)
+        reals = rng.uniform(-1.6, 1.6, 3000)
+        reals[:4] = [0.0, 1.0, -1.0, sysm.stages(1)[2][1]]
+        single = np.concatenate([reals + 1j * reals[::-1],
+                                 unit_circle(rng, 3000)]).astype(np.complex64)
+        for lam in (reals, np.arange(-3, 4), np.arange(-3, 4, dtype=np.int32), single):
+            want = _render_band(sysm, lam.astype(complex), 200)
+            got = _render_band(sysm, lam, 200)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+            assert 0 < want[0].sum() < want[0].size
 
 
 def with_imag(re, im):
