@@ -9,6 +9,11 @@ no pixel is certified inside.  The escape kernel may decide "bounded" before
 the last stage, once a parameter's composed value lies inside a trapping
 radius (see ``_trap_radii``) that proves it stays in the unit disk through
 the probed depth; the result still only means "bounded up to that depth".
+It may also decide "escaped at stage 1" before computing the first stage's
+power: the bounded set lies in the disk |lam - (1-p_1)| <= p_1, and a
+parameter whose distance from its centre exceeds the radius of
+``_escape_radius``, a few dozen ulps outside the circle that f_1 maps onto
+the bailout circle, provably escapes there.
 """
 
 from __future__ import annotations
@@ -375,6 +380,65 @@ def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
     return tau
 
 
+def _escape_radius(sys: FiberedSystem, bailout: float) -> float:
+    """Radius R_1 about c_1 = the double 1 - p_1: if ``np.abs(fl(lam - c_1))``
+    is > R_1, then stage 1 of ``_render_band`` computes a modulus that is not
+    <= ``bailout``, so lam escapes at stage 1.
+
+    Exactly, f_1 maps the circle |lam - c_1| = p_1 b ** (1/d_1) onto the
+    circle of radius b = ``bailout``, so lam escapes at stage 1 just outside
+    it.  The radius below bounds the moduli that ``np.abs`` returns from
+    below, for the stage-1 value as ``stage_map`` computes it from
+    h = fl(lam - c_1) (u = 2**-53, eta = 2**-990; d, p, c the stage-1 entries
+    d_1, p_1 and the double c_1).  ``tests/test_julia.py`` checks each bound
+    in exact arithmetic:
+
+    - ``np.abs``: np.abs(x) >= (1 - 4u) |x| - eta, and
+      np.abs(h) <= (1 + 4u) |h| + eta, as in ``_trap_radii``.
+    - ``/ p``: each part of w = h fl(1 / p) is two roundings from the exact
+      part over p, so it is >= (1 - u)**2 |h_k| / p - 2**-1074 in modulus, and
+      |w| >= (1 - u)**2 |h| / p - eta.
+    - ``_pow_int``: each complex product has |fl(ab)| >= (1 - 3u) |a| |b| while
+      |a| |b| >= 1 (normwise error <= sqrt(5) u, and the underflow term is far
+      below the other 0.7u).  By induction over the binary powering, the
+      computed w ** m has modulus >= (1 - 3u)**(m-1) |w|**m, which stays
+      >= 1 / (1 - 3u) when |w| >= 1 / (1 - 3u).
+    - Overflow: once a part is inf or NaN, every later part is, since each
+      part of a complex product reads both parts of both factors, and
+      ``np.abs`` of the power is inf or NaN.  Both escape a finite bailout.
+      So does the whole stage when fl(1 / p) overflows: h fl(1 / p) then
+      has an infinite or a NaN part.
+
+    Chaining them, |w| >= W = (b (1 + u))**(1/d) / ((1 - 4u) (1 - 3u)) gives a
+    power of modulus >= (1 - 3u)**(d-1) W**d >= b (1 + u) / (1 - 4u), whose
+    ``np.abs`` is >= b (1 + u) - eta > b (b + eta <= b (1 + u) as b >= 1).
+    And np.abs(h) >= eta + (1 + 4u) p (W + eta) / (1 - u)**2 gives
+    |w| >= W.  As p <= 1, the right side is <= p b**(1/d) (1 + 15u) + 3 eta,
+    so any R_1 at least that certifies.  It is evaluated in doubles, each
+    step rounded the safe way (L = log b):
+
+    - z = fl(b ** fl(1/d)) (1 + (L + 5) u) >= b ** (1/d): libm ``pow`` is
+      within one ulp, and rounding 1/d moves the root by a relative
+      L u / d at most;
+    - y = fl(p z), so p z <= y (1 + 2u) + 2**-1074 (a subnormal product
+      rounds by an absolute 2**-1075), and
+      p b**(1/d) (1 + 15u) + 3 eta <= y (1 + (L + 24) u) + 4 eta;
+    - R_1 = fl(fl(y fl(1 + (32 + ceil(L)) u)) + 8 eta): rounding the factor,
+      the product and the sum keeps R_1 >= y (1 + (L + 27) u) + 7 eta.  The
+      8 eta covers a subnormal p_1, whose y is tiny.
+
+    R_1 is +inf, so nothing is certified, unless 1 <= ``bailout`` < inf: the
+    rule of ``_trap_radii``.  An infinite bailout does not let an infinite
+    modulus escape.
+    """
+    if not 1.0 <= bailout < math.inf:
+        return math.inf
+    d, p, _ = sys.stages(1)
+    z = bailout ** (1 / d[1])  # int division: no overflow for huge degrees
+    y = p[1] * z
+    return y * (1.0 + (32 + math.ceil(math.log(bailout))) * _U) + 8 * _ETA
+
+
 # Parameters per slice of the stage loop: each per-stage temporary (a complex
 # slice is 256 KB) stays small enough for the allocator to reuse its memory
 # instead of returning it to the system and faulting it back in.
@@ -387,49 +451,59 @@ def _render_band(sys: FiberedSystem, lam_flat: np.ndarray, depth: int,
     modulus is not <= ``bailout``: above it, or NaN, which a power of large
     degree can give once it overflows (inf * inf - inf * inf).
 
-    A parameter whose modulus after stage r is <= tau_r (r = 0 tests the
-    parameter itself) provably never escapes through ``depth``, so it leaves
-    the loop with the default result, not escaped at stage ``depth``.  The
+    A parameter whose modulus after stage r >= 1 is <= tau_r provably never
+    escapes through ``depth``, so it leaves the loop with the default
+    result, not escaped at stage ``depth``.  The
     radii follow tau_depth = 1, tau_{r-1} = p_r tau_r ** (1/d_r) - (1 - p_r),
     shrunk by margins that cover every rounding of ``stage_map``, of
     ``np.abs`` and of the recursion itself; ``_trap_radii`` gives the proof.
-    So flags and stages are those of iterating every parameter through every
-    stage.  ``lam_flat`` is read, never written.
+    Stage 1 first tests ``np.abs(lam - c_1)`` against the radius R_1 of
+    ``_escape_radius``: a parameter outside it provably escapes at stage 1
+    and is flagged without its power being computed.  So flags and stages
+    are those of iterating every parameter through every stage.
+    ``lam_flat`` is read, never written.
     """
-    return _band_kernel(sys, lam_flat, depth, bailout, _trap_radii(sys, depth, bailout))
+    return _band_kernel(sys, lam_flat, depth, bailout, _trap_radii(sys, depth, bailout),
+                        _escape_radius(sys, bailout))
 
 
 def _band_kernel(sys: FiberedSystem, lam_flat: np.ndarray, depth: int, bailout: float,
-                 tau: list[float]) -> tuple[np.ndarray, np.ndarray]:
-    """``_render_band`` with the radii ``tau`` already computed.
+                 tau: list[float], radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_render_band`` with the radii ``tau`` and R_1 = ``radius`` already computed.
 
     Each stage runs over its parameters in slices of ``_BLOCK``.  Stage 1
     reads ``lam_flat`` in place, converting one slice at a time to complex
-    (``np.asarray``: a complex slice is not copied); the position of a
-    parameter is ``start`` plus its offset in the slice.  Only stage 1's
-    survivors are stored: their values at the front of ``v`` and their
-    positions at the front of ``index``.  Each later stage maps that live
-    prefix and moves every survivor of a slice to the front of both arrays,
-    in order.  Stages without a positive radius skip the compare.  tau_0
-    traps at stage 1: a parameter with ``np.abs(lam) <= tau_0`` leaves after
-    it, and by ``_trap_radii``'s proof it does not escape there, so it is
-    never flagged.
+    (``np.asarray``: a complex slice is not copied), and takes
+    h = fl(lam - c_1) and ``np.abs(h)``.  Where that is > R_1 the parameter
+    escapes at stage 1 (``_escape_radius`` gives the proof): the slice's
+    flags are written whole, and its stages where the flag is set.  The rest
+    (the parameters inside the circle that f_1 maps onto the bailout circle,
+    and a band a few dozen ulps wide outside it) is gathered, and
+    ``h * (1 / p_1)`` is powered and tested as at any stage; the position
+    of a parameter is ``start`` plus its offset in the slice.
+    Only stage 1's survivors are stored: their values at the front of ``v``
+    and their positions at the front of ``index``.  Each later stage maps
+    that live prefix and moves every survivor of a slice to the front of
+    both arrays, in order.  Stages without a positive radius skip the trap
+    compare.  tau_0 needs no test of its own: by ``_trap_radii``'s proof
+    ``np.abs(lam) <= tau_0`` implies ``np.abs(f_1(lam)) <= tau_1``, which
+    the stage-1 trap catches, and at depth 1 stage 1 is the last stage.
 
-    No bit depends on the slicing.  Each parameter sees the same elementwise
-    operations on the same values as when every stage maps the whole live
-    set at once: ``z - c``, the product with 1 / p, the complex products of
-    ``_pow_int`` and ``np.abs``.  numpy's complex multiply and ``np.abs``
-    give each element the same bits whatever its position in the array: on
-    numpy 2.4.6, slices of 1 to 100 elements at 430 offsets matched the
-    whole array's results.  A strided ``lam_flat`` meets a strided loop only
-    in the tau_0 test, whose proof holds for any ``np.abs`` within
-    ``_trap_radii``'s error bound.
+    No bit depends on the slicing or on R_1.  Each uncertified parameter
+    sees the same elementwise operations on the same values as when every
+    stage maps the whole live set at once: ``z - c``, the product with
+    1 / p, the complex products of ``_pow_int`` and ``np.abs``.  numpy's
+    complex multiply and ``np.abs`` give each element the same bits
+    whatever its position in the array: on numpy 2.4.6, slices of 1 to 100
+    elements at 430 offsets matched the whole array's results.  The test
+    against R_1 only needs ``np.abs`` within the error bound of its proof.
     """
     n = lam_flat.size
     escaped = np.zeros(n, dtype=bool)
     stage = np.full(n, depth, dtype=np.int32)
     v = np.empty(n, dtype=complex)  # orbit values; the first ``live`` are in play
     index = np.empty(n, dtype=np.intp)  # position in lam_flat of each value in v
+    d, p, c = sys.stages(1)
     live = n
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, depth + 1):
@@ -439,22 +513,28 @@ def _band_kernel(sys: FiberedSystem, lam_flat: np.ndarray, depth: int, bailout: 
             kept = 0
             for start in range(0, live, _BLOCK):
                 stop = min(start + _BLOCK, live)
-                z = np.asarray(lam_flat[start:stop], dtype=complex) if r == 1 else v[start:stop]
-                w = stage_map(sys, r, z)
+                if r == 1:
+                    h = np.asarray(lam_flat[start:stop], dtype=complex) - c[1]
+                    out = np.abs(h) > radius
+                    escaped[start:stop] = out
+                    stage[start:stop][out] = 1
+                    rest = np.flatnonzero(~out)
+                    pos = start + rest
+                    w = _pow_int(h[rest] * (1.0 / p[1]), d[1])
+                else:
+                    pos = index[start:stop]
+                    w = stage_map(sys, r, v[start:stop])
                 mod = np.abs(w)
                 gone = ~(mod <= bailout)  # a NaN modulus escapes too
                 if gone.any():
-                    hit = start + np.flatnonzero(gone) if r == 1 else index[start:stop][gone]
+                    hit = pos[gone]
                     escaped[hit] = True
                     stage[hit] = r
                 if trap > 0.0:
                     gone |= mod <= trap
-                if r == 1 and tau[0] > 0.0:
-                    gone |= np.abs(z) <= tau[0]
                 keep = ~gone
                 moved = w[keep]
-                index[kept:kept + moved.size] = (start + np.flatnonzero(keep) if r == 1
-                                                 else index[start:stop][keep])
+                index[kept:kept + moved.size] = pos[keep]
                 v[kept:kept + moved.size] = moved
                 kept += moved.size
             live = kept
@@ -473,6 +553,7 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     negation:
 
     - ``z - c`` with c real;
+    - ``np.abs(lam - c_1)``, tested against the escape radius R_1;
     - ``h * (1 / p)``;
     - the complex products of ``_pow_int``, with or without a fused
       multiply-add;
@@ -485,9 +566,9 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
 
     The computed rows are split into ``threads`` bands (one when
     ``threads < 1``), each run through the escape kernel on its own thread;
-    the grid is the same for any thread count.  The trapping radii are
-    computed once per call and shared by the bands; each band builds only
-    its own parameters.
+    the grid is the same for any thread count.  The trapping radii and the
+    escape radius are computed once per call and shared by the bands; each
+    band builds only its own parameters.
     """
     re_min, re_max, im_min, im_max = (float(x) for x in window)
     width, height = (int(x) for x in resolution)
@@ -506,11 +587,12 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
                           np.empty((height, width), dtype=np.int32))
 
     tau = _trap_radii(sys, depth, 1.0)
+    radius = _escape_radius(sys, 1.0)
 
     def band(rows):
         # Each band builds and fills only its own rows: no full parameter grid is held.
         lam = grid.center_at(rows[:, None], np.arange(width)).reshape(-1)
-        escaped, stage = _band_kernel(sys, lam, depth, 1.0, tau)
+        escaped, stage = _band_kernel(sys, lam, depth, 1.0, tau, radius)
         grid.escaped[rows] = escaped.reshape(-1, width)
         grid.stage[rows] = stage.reshape(-1, width)
 

@@ -745,10 +745,12 @@ class TestHostRounding:
         assert np.array_equal(w, x * (1.0 / p))
         assert np.array_equal(w, x / p)  # numpy's Smith division, up to the sign of a zero
         bound = (1 + Fraction(U)) ** 2
+        lower = (1 - Fraction(U)) ** 2  # used by _escape_radius
         for xk, wk in zip(np.concatenate([x.real, x.imag]).tolist(),
                           np.concatenate([w.real, w.imag]).tolist()):
             exact = Fraction(xk) / Fraction(p)
             assert abs(Fraction(wk)) <= bound * abs(exact) + Fraction(2.0 ** -1074)
+            assert abs(Fraction(wk)) >= lower * abs(exact) - Fraction(2.0 ** -1074)
 
     @pytest.mark.parametrize("size", [1, 2, 1000])
     def test_complex_multiply_within_three_units(self, size):
@@ -762,6 +764,29 @@ class TestHostRounding:
                 ei = Fraction(x.real) * Fraction(y.imag) + Fraction(x.imag) * Fraction(y.real)
                 err2 = (Fraction(o.real) - er) ** 2 + (Fraction(o.imag) - ei) ** 2
                 assert err2 <= (3 * Fraction(U)) ** 2 * (er ** 2 + ei ** 2)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 13])
+    def test_power_stays_above_three_units(self, d):
+        # the powering bound of _escape_radius: |g| >= 1 gives a computed g ** d
+        # of modulus >= (1 - 3u)**(d-1) |g|**d, or an infinite or NaN part
+        rng = np.random.default_rng(d)
+        mod = np.concatenate([1.0 + rng.uniform(0.0, 1e-3, 300), 10.0 ** rng.uniform(0, 60, 300)])
+        g = mod * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, mod.size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            power = julia._pow_int(g, d)
+        factor = (1 - 3 * Fraction(U)) ** (2 * (d - 1))
+        checked = overflowed = 0
+        for x, o in zip(g.tolist(), power.tolist()):
+            g2 = Fraction(x.real) ** 2 + Fraction(x.imag) ** 2
+            if g2 < 1:
+                continue
+            if not (math.isfinite(o.real) and math.isfinite(o.imag)):
+                overflowed += 1
+                continue
+            checked += 1
+            assert Fraction(o.real) ** 2 + Fraction(o.imag) ** 2 >= factor * g2 ** d
+        assert checked > 300
+        assert (overflowed > 0) == (d > 5)  # moduli up to 1e60 overflow from d = 8 on
 
 
 class TestTrappedKernel:
@@ -828,6 +853,86 @@ class TestTrappedKernel:
             assert_matches_oracle(sysm, lam, 40, bailout=0.5)
 
 
+def near_escape_circle(sysm, bailout, rng, count, ulps=40):
+    """Parameters lam with |lam - c_1| within about ``ulps`` ulp of
+    p_1 bailout ** (1/d_1), the circle that stage 1 maps onto the bailout."""
+    d, p, c = sysm.stages(1)
+    return c[1] + near_modulus(rng, p[1] * bailout ** (1.0 / d[1]), count, ulps)
+
+
+# 1 / p_1 overflows, so stage 1 maps every parameter to an infinite or NaN value
+SYS_TINY_P = FiberedSystem(BaseSeq("const", (3,)), parse_probs_spec("plist:1e-310;tail=0.5"))
+TAU0_CASES = [(name, depth) for name in (*sorted(PRESETS), "unit") for depth in (1, 2, 12, 200)
+              if _trap_radii(PRESET_SYSTEMS.get(name, SYS_DISK), depth, 1.0)[0] > 0.0]
+
+
+class TestEscapeRadius:
+    """Stage 1 flags a parameter with np.abs(lam - c_1) > R_1 as escaped
+    without computing its power (``julia._escape_radius``)."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    @pytest.mark.parametrize("bailout", [1.0, 1e6])
+    def test_circle_neighbourhood(self, name, bailout):
+        # R_1 lies 16 to 45 ulps outside the circle; the circle's
+        # neighbourhood fails a radius without margin, and a wider ring
+        # samples both sides of R_1
+        sysm = PRESET_SYSTEMS[name]
+        rng = np.random.default_rng(15)
+        lam = np.concatenate([near_escape_circle(sysm, bailout, rng, 5000),
+                              near_escape_circle(sysm, bailout, rng, 1000, ulps=400)])
+        m = np.abs(lam - sysm.stages(1)[2][1])
+        radius = julia._escape_radius(sysm, bailout)
+        assert (m > radius).any() and (m <= radius).any()
+        assert_matches_oracle(sysm, lam, 200, bailout)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_radius_is_just_outside_the_circle(self, name):
+        d, p, _ = PRESET_SYSTEMS[name].stages(1)
+        for bailout in (1.0, 1e6, 1.7e308):
+            exact = p[1] * bailout ** (1.0 / d[1])
+            assert exact < julia._escape_radius(PRESET_SYSTEMS[name], bailout) < exact * (1 + 2.0 ** -42)
+
+    @pytest.mark.parametrize("bailout", [0.5, 0.999, float("inf"), float("nan")])
+    def test_nothing_certified_outside_finite_bailouts_from_one(self, bailout):
+        for sysm in (SYS_DISK, PRESET_SYSTEMS["fig8a"], SYS_TINY_P):
+            assert julia._escape_radius(sysm, bailout) == math.inf
+
+    @pytest.mark.parametrize("name, depth", TAU0_CASES)
+    def test_tau0_trap_is_the_stage_one_trap(self, name, depth):
+        # The kernel has no tau_0 compare: np.abs(lam) <= tau_0 must give
+        # np.abs(f_1(lam)) <= tau_1 (tau_1 = 1 at depth 1, the last stage).
+        sysm = PRESET_SYSTEMS.get(name, SYS_DISK)
+        tau = _trap_radii(sysm, depth, 1.0)
+        lam = near_modulus(np.random.default_rng(16), tau[0], 20_000, ulps=4)
+        inside = np.abs(lam) <= tau[0]
+        assert inside.any() and not inside.all()
+        assert (np.abs(stage_map(sysm, 1, lam[inside])) <= tau[1]).all()
+
+    def test_tau0_cases(self):
+        assert {("fig3a", 200), ("unit", 200), ("fig8a", 1)} <= set(TAU0_CASES)
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("bailout", [0.5, 1.0, 1e6, float("inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["fig3a", "fig5c", "fig8a", "tiny"])
+    def test_edge_parameters(self, monkeypatch, block, bailout, name):
+        monkeypatch.setattr(julia, "_BLOCK", block)
+        sysm = SYS_TINY_P if name == "tiny" else PRESET_SYSTEMS[name]
+        c1 = sysm.stages(1)[2][1]
+        inf, nan = math.inf, math.nan
+        rng = np.random.default_rng(17)
+        lam = np.concatenate([
+            np.array([c1, complex(c1, -0.0), complex(inf, 0.0), complex(-inf, 1.0), complex(0.0, inf),
+                      complex(nan, 0.0), complex(0.0, nan), complex(inf, nan), complex(nan, nan)]),
+            near_escape_circle(sysm, 1.0, rng, 100),
+            near_escape_circle(sysm, 1e6, rng, 100),
+            rng.uniform(-1.6, 1.6, (100, 2)).view(complex)[:, 0],
+        ])
+        esc = assert_matches_oracle(sysm, lam, 60, bailout)
+        assert esc[5:9].all()  # a NaN parameter escapes at any bailout
+        if name == "tiny":
+            assert 1.0 / sysm.stages(1)[1][1] == inf and esc.all()
+
+
 class TestBlockedKernel:
     """The stage loop runs over slices of ``julia._BLOCK`` parameters, reads
     stage 1's straight from the input and compacts the survivors in place;
@@ -863,9 +968,11 @@ class TestBlockedKernel:
         assert_matches_oracle(sysm, lam, 200)
         assert_matches_oracle(sysm, lam, 60, bailout=1e6)
 
-    # Stage 1 reads the parameters in place and traps with tau_0 as well; at
-    # depth 1 it is the last stage, at depth 2 the next to last.  tau_0 is
-    # positive for fig3a and the unit disk, and for fig8a at depth 1 only.
+    # Stage 1 reads the parameters in place and flags those outside the
+    # escape radius R_1 before any power; at depth 1 it is the last stage, at
+    # depth 2 the next to last.  tau_0 has no compare of its own (the stage-1
+    # trap catches it); it is positive for fig3a and the unit disk, and for
+    # fig8a at depth 1 only.
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("bailout", [0.5, 1.0, 1e6])
