@@ -136,6 +136,20 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
     return win
 
 
+def _int_at_least(low: int, kind: str):
+    """An argparse type: a ``kind`` integer, one no smaller than ``low``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            pass
+        else:
+            if value >= low:
+                return value
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+    return parse
+
+
 def _parse_resolution(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
@@ -250,24 +264,73 @@ def _suite_witness(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
 FACTORIZATION_DRAWS = 100_000
 
 
+def _raw_words(bitgen: np.random.BitGenerator):
+    """The raw 64-bit words of ``bitgen`` as Python ints, in stream order.
+
+    They are read 1 024 at a time, which spreads the cost of a call over
+    many words and holds about 50 kB of Python ints at once."""
+    while True:
+        yield from bitgen.random_raw(1024).tolist()
+
+
+def _uint32s(words):
+    """PCG64's ``next_uint32`` over ``words``: the low half of a fresh word,
+    then its high half, which the bit generator keeps for the next call.
+
+    A word is taken only when its low half is asked for, so doubles drawn
+    from ``words`` in between take the words after it, as they do in a
+    ``Generator``."""
+    for word in words:
+        yield word & 0xFFFF_FFFF
+        yield word >> 32
+
+
+def _bounded(uint32s, span: int) -> int:
+    """``Generator.integers(low, low + span) - low`` for 1 <= span <= 2**32,
+    from the halves ``uint32s``: Lemire's multiply-and-reject, keeping the
+    top 32 bits of ``u * span`` unless its low 32 bits fall below
+    ``(2**32 - span) % span``.  A span of 1 consumes nothing."""
+    if span == 1:
+        return 0
+    threshold = (2**32 - span) % span
+    m = next(uint32s) * span
+    while m & 0xFFFF_FFFF < threshold:
+        m = next(uint32s) * span
+    return m >> 32
+
+
 def _suite_factorization(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
-    rng = np.random.default_rng(seed)
+    """The telescoped stage-value identity at 100 bounded cases (lam, r, k).
+
+    The draws are those of ``rng = np.random.default_rng(seed)``:
+    ``lam = complex(*rng.uniform(-1, 1, size=2))``, rejected outside the unit
+    disk; ``r = rng.integers(2, 13)``, rejected when lam escapes by stage r;
+    then ``k = rng.integers(1, r)``.  They are replayed from the raw words of
+    its bit generator: a ``Generator`` call per draw would take most of the
+    suite's time, more than its stage arithmetic.  The replay applies
+    ``Generator``'s rules: a double is ``(w >> 11) * 2**-53`` of a fresh word
+    w, and ``uniform(-1, 1)`` is ``-1 + 2u`` of it, where 2u is exact; an
+    integer is ``_bounded`` over ``_uint32s``.  numpy keeps the raw streams
+    of its bit generators stable, so these are the same words in the same
+    order as the calls themselves would take; the tests compare the replay
+    with the installed ``Generator``."""
+    words = _raw_words(np.random.default_rng(seed).bit_generator)
+    uint32s = _uint32s(words)
     resids = []
     draws = 0
     while len(resids) < 100:
         if draws == FACTORIZATION_DRAWS:
             raise ValueError(f"{draws} draws gave {len(resids)} of 100 bounded cases")
         draws += 1
-        # uniform(-1, 1) draws -1 + 2u for the same double u, and 2u is exact:
-        # the same stream and the same bits as complex(*rng.uniform(-1, 1, size=2)).
-        lam = complex(-1.0 + 2.0 * rng.random(), -1.0 + 2.0 * rng.random())
+        lam = complex(-1.0 + 2.0 * ((next(words) >> 11) * 2**-53),
+                      -1.0 + 2.0 * ((next(words) >> 11) * 2**-53))
         if abs(lam) > 1:
             continue
-        r = int(rng.integers(2, 13))
+        r = 2 + _bounded(uint32s, 11)
         vals = julia._bounded_stage_values(sysm, lam, r)
         if vals is None:
             continue
-        k = int(rng.integers(1, r))
+        k = 1 + _bounded(uint32s, r - 1)
         resids.append(julia._factorization_residual(sysm, vals, r, k))
     # np.max, unlike max, propagates a NaN residual, which then fails the check.
     worst = float(np.max(resids))
@@ -353,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--preset", choices=PRESETS, metavar="NAME",
                         help="named configuration (fig3a..fig10c)")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=0)
+    seed.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=0)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output path")
 
@@ -391,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[config, seed],
                        help="spectrum regime and its numerical evidence")
     p.add_argument("--depth", type=int, default=4, help="root enumeration depth")
-    p.add_argument("--resolution", type=int, default=256,
+    p.add_argument("--resolution", type=_int_at_least(1, "positive"), default=256,
                    help="side of the square render grids")
     p.set_defaults(func=cmd_report)
 

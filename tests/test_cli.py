@@ -15,8 +15,11 @@ from stochadd.cli import (
     FACTORIZATION_DRAWS,
     PRESETS,
     RENORM_STATES,
+    _bounded,
     _escape_samples,
+    _raw_words,
     _suite_factorization,
+    _uint32s,
     main,
 )
 from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
@@ -316,12 +319,12 @@ class TestVerify:
             got = [line for line in lines if line.split()[1] == suite]
             assert got == PINNED_VERIFY_STDOUT[f"{suite} 7"]
 
-    @pytest.mark.parametrize("seed", [1, 7, 20])
-    @pytest.mark.parametrize("suite", ["factorization", "witness", "transient"])
+    @pytest.mark.parametrize("suite, seed", [key.split() for key in PINNED_VERIFY_STDOUT])
     def test_stdout_is_pinned(self, capsys, suite, seed):
         # The lines these suites printed before their stage loops read one
-        # table per system: a moved last bit of any residual shows here.
-        code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", str(seed))
+        # table per system, and factorization's before it replayed raw
+        # words for seeds 0-20: a moved last bit of any residual shows here.
+        code, out, _ = run(capsys, "verify", "--suite", suite, "--seed", seed)
         assert code == 0
         assert out.splitlines() == PINNED_VERIFY_STDOUT[f"{suite} {seed}"]
 
@@ -382,6 +385,25 @@ class TestFactorizationDraws:
         sysm = julia.FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
         for seed in range(6):
             assert _suite_factorization(sysm, seed) == reference_factorization(sysm, seed)
+
+    def test_replay_matches_generator(self):
+        # Mixed random() and integers(low, high) calls, so that a buffered
+        # half word outlives the doubles drawn after it.  The spans near 2**31
+        # and 3 * 2**30 reject a quarter to a half of their first tries.
+        # Every seed takes over 1 100 words, past the first block read.
+        spans = (1, 2, 11, 12, 3 * 2**30, 2**31 + 1, 2**32 - 1, 2**32)
+        for seed in range(100):
+            calls = np.random.default_rng([seed, 1]).integers(-1, len(spans), size=2000)
+            rng = np.random.default_rng(seed)
+            words = _raw_words(np.random.default_rng(seed).bit_generator)
+            uint32s = _uint32s(words)
+            for call in calls.tolist():
+                if call < 0:
+                    assert (next(words) >> 11) * 2**-53 == rng.random()
+                else:
+                    low = call - 3
+                    want = int(rng.integers(low, low + spans[call]))
+                    assert low + _bounded(uint32s, spans[call]) == want, (seed, spans[call])
 
     @pytest.mark.parametrize("seed", [0, 1, 20])
     def test_scaled_random_is_uniform(self, seed):
@@ -522,6 +544,16 @@ class TestOptions:
         (["render", "--preset", "fig6a"], "the following arguments are required: --out"),
         (["digits", "8"], "the following arguments are required: --base"),
         (["matrix", "--n", "9", "--preset", "fig99"], "argument --preset: invalid choice: 'fig99'"),
+        (["verify", "--suite", "factorization", "--preset", "fig3a", "--seed", "-1"],
+         "argument --seed: expected a non-negative integer, got '-1'"),
+        (["report", "--preset", "fig3a", "--seed", "-1", "--depth", "2", "--resolution", "64"],
+         "argument --seed: expected a non-negative integer, got '-1'"),
+        (["simulate", "--preset", "fig3a", "--steps", "3", "--seed", "-1"],
+         "argument --seed: expected a non-negative integer, got '-1'"),
+        (["report", "--preset", "fig3a", "--resolution", "0"],
+         "argument --resolution: expected a positive integer, got '0'"),
+        (["report", "--preset", "fig3a", "--resolution", "-64"],
+         "argument --resolution: expected a positive integer, got '-64'"),
     ])
     def test_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
