@@ -136,8 +136,10 @@ def _parse_window(text: str) -> tuple[float, float, float, float]:
     return win
 
 
-def _int_at_least(low: int, kind: str):
-    """An argparse type: a ``kind`` integer, one no smaller than ``low``."""
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    kind = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer >= {low}")
+
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -146,7 +148,7 @@ def _int_at_least(low: int, kind: str):
         else:
             if value >= low:
                 return value
-        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected {kind}, got {text!r}")
     return parse
 
 
@@ -250,8 +252,9 @@ def _suite_escape(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
 def _suite_witness(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     n = largest_level(sysm.base, 1024)
     mat = machine.build_matrix(n, sysm.base, sysm.probs)
+    csr = mat.to_csr()
     lams = spectrum.sample_bounded(sysm, 10, depth=DEFAULT_DEPTH, seed=seed)
-    slack = [spectrum.eigen_residuals(mat, lams, julia.witnesses(sysm, lams, t, n))
+    slack = [spectrum.eigen_residuals(mat, csr, lams, julia.witnesses(sysm, lams, t, n))
              - (3.0 * sysm.probs.prefix_product(t) + 1e-12) for t in range(1, 5)]
     # np.max, unlike max, propagates a NaN residual, which then fails the check.
     worst_slack = float(np.max(slack))
@@ -416,17 +419,17 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--preset", choices=PRESETS, metavar="NAME",
                         help="named configuration (fig3a..fig10c)")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=_int_at_least(0, "non-negative"), default=0)
+    seed.add_argument("--seed", type=_int_at_least(0), default=0)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", help="output path")
 
     p = sub.add_parser("digits", help="digit expansion of an integer")
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int_at_least(0))
     p.add_argument("--base", required=True, help=BASE_HELP)
     p.set_defaults(func=cmd_digits)
 
     p = sub.add_parser("matrix", parents=[config, out], help="truncated transition matrix")
-    p.add_argument("--n", type=int, required=True, help="number of states")
+    p.add_argument("--n", type=_int_at_least(2), required=True, help="number of states")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("render", parents=[config], help="escape-time membership grid")
@@ -434,12 +437,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--window", default=",".join(str(x) for x in DEFAULT_WINDOW))
     p.add_argument("--res", default="512x512")
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--depth", type=_int_at_least(1), default=DEFAULT_DEPTH)
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("roots", parents=[config, out], help="point-spectrum roots CSV")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--cap", type=int, default=spectrum.ROOT_CAP)
+    p.add_argument("--depth", type=_int_at_least(1), required=True)
+    p.add_argument("--cap", type=_int_at_least(1), default=spectrum.ROOT_CAP)
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("verify", parents=[config, seed, out], help="run verification suites")
@@ -447,14 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("simulate", parents=[config, seed, out], help="sample a trajectory")
-    p.add_argument("--start", type=int, default=0)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--start", type=_int_at_least(0), default=0)
+    p.add_argument("--steps", type=_int_at_least(0), required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("report", parents=[config, seed],
                        help="spectrum regime and its numerical evidence")
-    p.add_argument("--depth", type=int, default=4, help="root enumeration depth")
-    p.add_argument("--resolution", type=_int_at_least(1, "positive"), default=256,
+    p.add_argument("--depth", type=_int_at_least(1), default=4, help="root enumeration depth")
+    p.add_argument("--resolution", type=_int_at_least(1), default=256,
                    help="side of the square render grids")
     p.set_defaults(func=cmd_report)
 

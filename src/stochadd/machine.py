@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +42,6 @@ from .numeration import (
     to_digits,
     truncate_digits,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 RECURRENT = "null_recurrent_like"
 TRANSIENT = "transient_like"
@@ -70,11 +67,14 @@ class TransitionRow(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class SparseTransitionMatrix:
-    """Rows 0..dim-1 as a read-only CSR matrix, targets >= dim dropped; rows
-    that lost an entry are ``clipped``."""
+    """Rows 0..dim-1 as read-only CSR arrays (``indptr``, ``indices``,
+    ``data``), targets >= dim dropped; rows that lost an entry are
+    ``clipped``."""
 
     dim: int
-    csr: sp.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     base: BaseSeq
     probs: ProbSeq
     clipped_rows: frozenset[int]
@@ -83,16 +83,27 @@ class SparseTransitionMatrix:
     def rows(self) -> tuple[TransitionRow, ...]:
         """Per-row view of the CSR arrays, with each row's exact sum (built on
         first access)."""
-        bounds = self.csr.indptr.tolist()
-        pairs = list(zip(self.csr.indices.tolist(), self.csr.data.tolist()))
+        bounds = self.indptr.tolist()
+        pairs = list(zip(self.indices.tolist(), self.data.tolist()))
         entries = (tuple(pairs[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-        return tuple(map(TransitionRow, range(self.dim), entries, _row_sums(self.csr).tolist()))
+        return tuple(map(TransitionRow, range(self.dim), entries, _row_sums(self).tolist()))
 
-    def to_csr(self) -> sp.csr_matrix:
-        return self.csr
+    def _row_ids(self) -> np.ndarray:
+        """The row of every stored entry, in CSR order."""
+        return np.repeat(np.arange(self.dim), np.diff(self.indptr))
+
+    def to_csr(self):
+        """The arrays as a ``scipy.sparse.csr_matrix``, built on each call.
+        Their index dtype is the one scipy picks, so it copies none of them
+        and they stay read-only."""
+        import scipy.sparse as sp  # here, so that importing stochadd does not load it
+
+        return sp.csr_matrix((self.data, self.indices, self.indptr), shape=(self.dim, self.dim))
 
     def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
+        dense = np.zeros((self.dim, self.dim))
+        dense[self._row_ids(), self.indices] = self.data
+        return dense
 
     def unclipped_mask(self) -> np.ndarray:
         mask = np.ones(self.dim, dtype=bool)
@@ -189,15 +200,16 @@ def build_matrix(n_states: int, base: BaseSeq, probs: ProbSeq) -> SparseTransiti
 
     # A halt lands on n - drop >= 0, so only the last row's n+1 leaves the truncation.
     indptr[-1] -= 1
-    import scipy.sparse as sp  # here, so that importing stochadd does not load it
-
-    csr = sp.csr_matrix((data[:-1], indices[:-1], indptr), shape=(n_states, n_states))
-    for arr in (csr.data, csr.indices, csr.indptr):
+    # scipy's index dtype: int32 unless the size or an index passes its range.
+    index = np.int32 if max(n_states, int(indptr[-1])) <= np.iinfo(np.int32).max else np.int64
+    indptr, indices, data = indptr.astype(index), indices[:-1].astype(index), data[:-1]
+    for arr in (indptr, indices, data):
         arr.setflags(write=False)
-    return SparseTransitionMatrix(n_states, csr, base, probs, frozenset({n_states - 1}))
+    return SparseTransitionMatrix(n_states, indptr, indices, data, base, probs,
+                                  frozenset({n_states - 1}))
 
 
-def _row_sums(csr: sp.csr_matrix) -> np.ndarray:
+def _row_sums(mat: SparseTransitionMatrix) -> np.ndarray:
     """``math.fsum`` of every row's data, bit for bit, one fsum per distinct row.
 
     A row depends on its state only through the counter, so a truncation has
@@ -205,11 +217,11 @@ def _row_sums(csr: sp.csr_matrix) -> np.ndarray:
     not by counter: a perturbed entry, a -0.0 or a one-ulp change makes its
     own group.  fsum is correctly rounded, so equal bytes give equal sums.
     """
-    starts, lengths = csr.indptr[:-1], np.diff(csr.indptr)
+    starts, lengths = mat.indptr[:-1], np.diff(mat.indptr)
     sums = np.zeros(len(lengths))  # an empty row sums to 0.0, as fsum([]) does
     for k in np.unique(lengths[lengths > 0]).tolist():
         rows = np.flatnonzero(lengths == k)
-        block = csr.data[starts[rows, None] + np.arange(k)]
+        block = mat.data[starts[rows, None] + np.arange(k)]
         keys = block.view(np.dtype((np.void, block.itemsize * k))).ravel()
         _, first, group = np.unique(keys, return_index=True, return_inverse=True)
         sums[rows] = np.array([math.fsum(block[i].tolist()) for i in first.tolist()])[group]
@@ -224,9 +236,8 @@ def _column_sums(mat: SparseTransitionMatrix) -> tuple[np.ndarray, np.ndarray]:
     each s >= 1 with the first s digits of m all zero, row m + q_s - 1; column
     0 is fed by infinitely many rows and is never complete.
     """
-    csr = mat.to_csr()
     # bincount adds in CSR (row-major) order, like a loop over the rows.
-    sums = np.bincount(csr.indices, weights=csr.data, minlength=mat.dim)
+    sums = np.bincount(mat.indices, weights=mat.data, minlength=mat.dim)
     cols = np.arange(mat.dim, dtype=np.int64)
     # zero_place[m] is the largest level dividing m (1 if none): the place
     # value of the run of zero leading digits of m.
@@ -246,7 +257,7 @@ def stochasticity_deviation(mat: SparseTransitionMatrix) -> tuple[float, float]:
     """(max |row sum - 1| over unclipped rows, max |column sum - 1| over
     complete columns); both are 0 for an exactly stochastic truncation and
     NaN when any of those sums is NaN."""
-    rows = _row_sums(mat.to_csr())[mat.unclipped_mask()]
+    rows = _row_sums(mat)[mat.unclipped_mask()]
     cols, complete = _column_sums(mat)
     # np.max propagates a NaN from any position; Python's max only from the first.
     return (float(np.max(np.abs(rows - 1.0), initial=0.0)),
@@ -371,11 +382,9 @@ def renorm_check(r: int, n2: int, base: BaseSeq, probs: ProbSeq) -> RenormReport
 
 def write_matrix_coordinate(mat: SparseTransitionMatrix, path) -> None:
     """Coordinate text format: an ``m n nnz`` header, then ``row col value`` triples."""
-    csr = mat.to_csr()
-    sources = np.repeat(np.arange(mat.dim), np.diff(csr.indptr)).tolist()
-    lines = [f"{mat.dim} {mat.dim} {csr.nnz}"]
+    lines = [f"{mat.dim} {mat.dim} {mat.data.size}"]
     lines.extend(f"{n} {t} {p:.17g}" for n, t, p in
-                 zip(sources, csr.indices.tolist(), csr.data.tolist()))
+                 zip(mat._row_ids().tolist(), mat.indices.tolist(), mat.data.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

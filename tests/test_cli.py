@@ -330,8 +330,8 @@ class TestVerify:
 
     def test_nan_witness_residual_fails(self, capsys, monkeypatch):
         # Python's max(x, nan) is x, so a NaN residual once passed this check.
-        def eigen_residuals(mat, lams, vecs):
-            resid = real_residuals(mat, lams, vecs)
+        def eigen_residuals(mat, csr, lams, vecs):
+            resid = real_residuals(mat, csr, lams, vecs)
             resid[3] = math.nan
             return resid
 
@@ -431,9 +431,18 @@ def test_import_leaves_scipy_spatial_unloaded():
     ["render", "--preset", "fig6a", "--res", "16x16", "--out", "{tmp}/fig6a"],
     ["roots", "--preset", "fig3a", "--depth", "3"],
     ["simulate", "--preset", "fig3a", "--steps", "5"],
-], ids=["digits", "render", "roots", "simulate"])
+    ["matrix", "--preset", "fig3a", "--n", "81", "--out", "{tmp}/mat.txt"],
+    ["verify", "--suite", "stochasticity"],
+    ["verify", "--suite", "renorm"],
+    ["verify", "--suite", "escape"],
+    ["verify", "--suite", "factorization"],
+    ["verify", "--suite", "transient"],
+], ids=["digits", "render", "roots", "simulate", "matrix", "verify-stochasticity",
+        "verify-renorm", "verify-escape", "verify-factorization", "verify-transient"])
 def test_subcommand_leaves_scipy_unloaded(tmp_path, argv):
-    # Only build_matrix and boundary_density need scipy, and each imports it itself.
+    # Only SparseTransitionMatrix.to_csr and boundary_density need scipy, and
+    # each imports it itself.  verify --suite all is not here: its eigenpairs
+    # and witness suites multiply by to_csr().
     src = Path(stochadd.__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
@@ -554,6 +563,26 @@ class TestOptions:
          "argument --resolution: expected a positive integer, got '0'"),
         (["report", "--preset", "fig3a", "--resolution", "-64"],
          "argument --resolution: expected a positive integer, got '-64'"),
+        (["digits", "-1", "--base", "const:3"],
+         "argument n: expected a non-negative integer, got '-1'"),
+        (["simulate", "--preset", "fig3a", "--steps", "3", "--start", "-5"],
+         "argument --start: expected a non-negative integer, got '-5'"),
+        (["simulate", "--preset", "fig3a", "--steps", "-1"],
+         "argument --steps: expected a non-negative integer, got '-1'"),
+        (["matrix", "--preset", "fig3a", "--n", "1"],
+         "argument --n: expected an integer >= 2, got '1'"),
+        (["matrix", "--preset", "fig3a", "--n", "0"],
+         "argument --n: expected an integer >= 2, got '0'"),
+        (["render", "--preset", "fig6a", "--out", "x", "--depth", "0"],
+         "argument --depth: expected a positive integer, got '0'"),
+        (["roots", "--preset", "fig3a", "--depth", "0"],
+         "argument --depth: expected a positive integer, got '0'"),
+        (["roots", "--preset", "fig3a", "--depth", "2", "--cap", "0"],
+         "argument --cap: expected a positive integer, got '0'"),
+        (["roots", "--preset", "fig3a", "--depth", "2", "--cap", "-1"],
+         "argument --cap: expected a positive integer, got '-1'"),
+        (["report", "--preset", "fig3a", "--depth", "0"],
+         "argument --depth: expected a positive integer, got '0'"),
     ])
     def test_usage_error(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -620,11 +649,15 @@ class TestReportTransientProbe:
 
 
 class TestErrors:
-    def test_internal_error_exit_code(self, capsys):
+    def test_internal_error_exit_code(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("point_spectrum broke")
+
+        monkeypatch.setattr(spectrum, "point_spectrum", broken)
         code, _, err = run(capsys, "roots", "--base", "const:2", "--probs",
-                           "pconst:0.5", "--depth", "0")
+                           "pconst:0.5", "--depth", "2")
         assert code == 3
-        assert "Traceback" in err and "r_max must be >= 1" in err
+        assert "Traceback" in err and "point_spectrum broke" in err
 
 
 class TestSimulate:

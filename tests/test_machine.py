@@ -148,22 +148,22 @@ class TestBuildMatrix:
     @given(list_bases(), list_probs(), st.integers(2, 500))
     @settings(max_examples=100, deadline=None)
     def test_row_sums_are_fsum_of_each_row(self, base, probs, n):
-        csr = build_matrix(n, base, probs).to_csr()
-        want = [math.fsum(csr.data[lo:hi].tolist())
-                for lo, hi in zip(csr.indptr[:-1], csr.indptr[1:])]
-        assert [x.hex() for x in machine._row_sums(csr).tolist()] == [x.hex() for x in want]
+        mat = build_matrix(n, base, probs)
+        want = [math.fsum(mat.data[lo:hi].tolist())
+                for lo, hi in zip(mat.indptr[:-1], mat.indptr[1:])]
+        assert [x.hex() for x in machine._row_sums(mat).tolist()] == [x.hex() for x in want]
 
     def test_row_sums_group_by_content_not_counter(self):
         # Rows 0 and 1 of base 3 share the counter 1: entries (n, 1 - 0.7),
         # (n+1, 0.7), whose exact sum is 1.
         mat = build_matrix(27, B3, ProbSeq("const", (0.7,)))
-        csr = mat.to_csr().copy()
-        lo, hi = csr.indptr[1], csr.indptr[2]
-        csr.data[hi - 1] = np.nextafter(0.7, 0.0)
-        sums = machine._row_sums(csr)
-        assert sums[1] == math.fsum(csr.data[lo:hi].tolist()) == 1.0 - 2.0**-53
+        bad = mat.data.copy()
+        lo, hi = mat.indptr[1], mat.indptr[2]
+        bad[hi - 1] = np.nextafter(0.7, 0.0)
+        sums = machine._row_sums(dataclasses.replace(mat, data=bad))
+        assert sums[1] == math.fsum(bad[lo:hi].tolist()) == 1.0 - 2.0**-53
         assert sums[0] == 1.0
-        assert sums[2:].tolist() == machine._row_sums(mat.to_csr())[2:].tolist()
+        assert sums[2:].tolist() == machine._row_sums(mat)[2:].tolist()
 
     def test_rows_are_immutable(self):
         # The view is cached and shared: a row whose entries could be swapped
@@ -173,9 +173,41 @@ class TestBuildMatrix:
             row.entries = ()
 
     def test_operator_arrays_are_read_only(self):
-        csr = build_matrix(9, B3, P_HALF).to_csr()
-        with pytest.raises(ValueError):
-            csr.data[0] = 0.0
+        mat = build_matrix(9, B3, P_HALF)
+        csr = mat.to_csr()
+        for mine, its in ((mat.indptr, csr.indptr), (mat.indices, csr.indices),
+                          (mat.data, csr.data)):
+            # The stored index dtype is the one scipy picks, so to_csr copies nothing.
+            assert mine.dtype == its.dtype and np.shares_memory(mine, its)
+            for arr in (mine, its):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+
+    @given(list_bases(), list_probs(), st.integers(2, 200))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_is_csr_toarray(self, base, probs, n):
+        mat = build_matrix(n, base, probs)
+        dense, want = mat.to_dense(), mat.to_csr().toarray()
+        assert dense.shape == want.shape == (n, n)
+        assert np.array_equal(dense.view(np.uint64), want.view(np.uint64))
+
+    @given(list_bases(), list_probs(), st.integers(2, 500))
+    @settings(max_examples=100, deadline=None)
+    def test_csr_matches_rows_built_from_transition_row(self, base, probs, n):
+        # The CSR matrix that build_matrix used to store: transition_row cut
+        # below n, handed to scipy as lists.
+        import scipy.sparse as sp
+
+        kept = [[(t, p) for t, p in transition_row(m, base, probs).entries if t < n]
+                for m in range(n)]
+        indptr = np.cumsum([0] + [len(row) for row in kept])
+        want = sp.csr_matrix(([p for row in kept for _, p in row],
+                              [t for row in kept for t, _ in row], indptr), shape=(n, n))
+        csr = build_matrix(n, base, probs).to_csr()
+        assert csr.shape == want.shape
+        for got, ref in ((csr.indptr, want.indptr), (csr.indices, want.indices)):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert np.array_equal(csr.data.view(np.uint64), want.data.view(np.uint64))
 
 
 class TestApplyOperator:
@@ -250,9 +282,9 @@ class TestColumnSums:
 
     def test_stochasticity_deviation_sees_a_bad_row(self):
         mat = build_matrix(9, B3, P_HALF)
-        bad = mat.to_csr().copy()
-        bad.data[bad.indptr[4]] += 0.25
-        row_dev, col_dev = stochasticity_deviation(dataclasses.replace(mat, csr=bad))
+        bad = mat.data.copy()
+        bad[mat.indptr[4]] += 0.25
+        row_dev, col_dev = stochasticity_deviation(dataclasses.replace(mat, data=bad))
         assert row_dev == pytest.approx(0.25)
         assert col_dev == pytest.approx(0.25)
 
@@ -262,9 +294,9 @@ class TestColumnSums:
         # falls; a verdict that dropped it would read 0 and pass.  Row n's
         # first entry is its stay, in column n; column 0 is never complete.
         mat = build_matrix(9, B3, P_HALF)
-        bad = mat.to_csr().copy()
-        bad.data[bad.indptr[row]] = np.nan
-        row_dev, col_dev = stochasticity_deviation(dataclasses.replace(mat, csr=bad))
+        bad = mat.data.copy()
+        bad[mat.indptr[row]] = np.nan
+        row_dev, col_dev = stochasticity_deviation(dataclasses.replace(mat, data=bad))
         assert math.isnan(row_dev)
         assert math.isnan(col_dev) if row else col_dev == 0.0
 
@@ -413,9 +445,9 @@ class TestRenorm:
             mat = build(n_states, base, probs)
             if n_states != n2:
                 return mat
-            bad = mat.to_csr().copy()
-            bad.data[bad.indptr[n2 // 2 + 1] - 1] += 0.5
-            return dataclasses.replace(mat, csr=bad)
+            bad = mat.data.copy()
+            bad[mat.indptr[n2 // 2 + 1] - 1] += 0.5
+            return dataclasses.replace(mat, data=bad)
 
         assert renorm_check(r, n2, base, probs).max_diff() < 1e-12
         monkeypatch.setattr(machine, "build_matrix", perturbed)

@@ -377,7 +377,7 @@ class TestBatchedEigenCheck:
         mat = build_matrix(27, SYS_37.base, SYS_37.probs)
         vecs = np.ones((3, 27), dtype=complex)
         vecs[1, 5] = complex(math.nan, 0.0)
-        resid = eigen_residuals(mat, [1.0, 1.0, 1.0], vecs)
+        resid = eigen_residuals(mat, mat.to_csr(), [1.0, 1.0, 1.0], vecs)
         assert math.isnan(resid[1]) and resid[0] == resid[2] == 0.0
 
 
