@@ -9,6 +9,7 @@ seed; floats print with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys as _sys
@@ -266,40 +267,126 @@ def _suite_witness(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
 # presets need at most 5 255 (fig8a) over seeds 0-20.
 FACTORIZATION_DRAWS = 100_000
 
-
-def _raw_words(bitgen: np.random.BitGenerator):
-    """The raw 64-bit words of ``bitgen`` as Python ints, in stream order.
-
-    They are read 1 024 at a time, which spreads the cost of a call over
-    many words and holds about 50 kB of Python ints at once."""
-    while True:
-        yield from bitgen.random_raw(1024).tolist()
+# What lam, formed from the words at an offset, does in the factorization walk.
+_INSIDE, _OUTSIDE, _ESCAPES = 0, 1, 2
+_LOW = 0xFFFF_FFFF
 
 
-def _uint32s(words):
-    """PCG64's ``next_uint32`` over ``words``: the low half of a fresh word,
-    then its high half, which the bit generator keeps for the next call.
+def _draw_tables(sysm: FiberedSystem, words: np.ndarray):
+    """The factorization draws that raw 64-bit ``words`` can give, by arrays.
 
-    A word is taken only when its low half is asked for, so doubles drawn
-    from ``words`` in between take the words after it, as they do in a
-    ``Generator``."""
-    for word in words:
-        yield word & 0xFFFF_FFFF
-        yield word >> 32
+    - ``codes``: per offset j < len(words) - 1, what lam formed from words j
+      and j + 1 does.  ``_OUTSIDE``: abs(lam) > 1.  ``_ESCAPES``:
+      ``julia._bounded_stage_values`` returns None by stage 2 without raising,
+      which it then does for every r >= 2.  ``_INSIDE``: anything else, for
+      the scalar loop to decide; that includes a modulus that makes ``abs``
+      raise ``OverflowError``, so the scalar loop raises it.
+    - ``rs``: per half-word (the low half of word j at 2j, the high half at
+      2j + 1), 2 plus the top 32 bits of half * 11, which is r if Lemire's
+      first try for ``integers(2, 13)`` takes that half, or 0 if it rejects it.
+    - ``halves``: the half-words, as a memoryview of uint32.
+    - ``parts``: the double -1 + 2u of each word, as a memoryview of float64.
+
+    Stages 1 and 2 run through ``julia``'s array kernel (``_c_rescale``,
+    ``_c_pow``, ``_c_abs``), so each code is decided on the bits that the
+    scalar stage loop computes.
+    """
+    parts = -1.0 + 2.0 * ((words >> 11).astype(np.float64) * 2**-53)
+    x, y = parts[:-1], parts[1:]
+    live = julia._c_abs(x, y) <= 1.0  # lam has no NaN part
+    codes = np.where(live, _INSIDE, _OUTSIDE).astype(np.uint8)
+    d, p, c = sysm.stages(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in (1, 2):
+            x, y = julia._c_pow(*julia._c_rescale(x, y, p[r], c[r]), d[r])
+            mod = julia._c_abs(x, y)
+            fine = mod <= 1.0
+            out = live & ~fine
+            live &= fine
+            over = mod == np.inf
+            if over.any():
+                out &= ~(over & np.isfinite(x) & np.isfinite(y))
+            codes[out] = _ESCAPES
+    # Read little-endian, each word gives its low half, which next_uint32
+    # takes first, then its high half.
+    halves = words.astype("<u8", copy=False).view("<u4")
+    m = halves * np.uint64(11)
+    rs = ((m >> 32) + 2).astype(np.uint8)
+    rs[m & _LOW < (2**32 - 11) % 11] = 0
+    return codes.tobytes(), rs.tobytes(), memoryview(halves), memoryview(parts)
 
 
-def _bounded(uint32s, span: int) -> int:
-    """``Generator.integers(low, low + span) - low`` for 1 <= span <= 2**32,
-    from the halves ``uint32s``: Lemire's multiply-and-reject, keeping the
-    top 32 bits of ``u * span`` unless its low 32 bits fall below
-    ``(2**32 - span) % span``.  A span of 1 consumes nothing."""
-    if span == 1:
-        return 0
-    threshold = (2**32 - span) % span
-    m = next(uint32s) * span
-    while m & 0xFFFF_FFFF < threshold:
-        m = next(uint32s) * span
-    return m >> 32
+def _factorization_cases(sysm: FiberedSystem, blocks, count: int):
+    """The first ``count`` bounded cases (lam, r, k, stage values) that the
+    raw words of ``blocks``, an iterator of uint64 arrays, give.
+
+    The walk takes the words in stream order, as ``_suite_factorization``
+    describes.  Each block is appended to the words left of the last one (at
+    most one) and tabled by ``_draw_tables``.  A draw whose lam is
+    ``_OUTSIDE`` or ``_ESCAPES`` is decided by its code; only the others go
+    through ``julia._bounded_stage_values``, which decides every kept case.
+    An integer is Lemire's multiply-and-reject over PCG64's ``next_uint32``:
+    the low half of a fresh word, whose high half (with its ``rs`` entry) is
+    kept for the next integer, across blocks too.  r reads ``rs``, and a
+    rejected first try goes on as any integer does; a span of 1 (k when
+    r = 2) takes no half.
+    """
+    words = np.zeros(0, dtype=np.uint64)
+    size = at = 0  # ``at``: index in ``words`` of the next word to take
+    codes = rs = halves = parts = None
+    kept_half = None  # (value, ``rs`` entry) of the high half of the last word halved
+    kept = 0
+
+    def refill():
+        nonlocal words, size, at, codes, rs, halves, parts
+        words = np.concatenate((words[at:], next(blocks)))
+        size, at = len(words), 0
+        codes, rs, halves, parts = _draw_tables(sysm, words)
+
+    def half() -> tuple[int, int]:
+        """PCG64's next_uint32, with its ``rs`` entry."""
+        nonlocal at, kept_half
+        if kept_half is not None:
+            out, kept_half = kept_half, None
+            return out
+        while at == size:
+            refill()
+        j = 2 * at
+        at += 1
+        kept_half = halves[j + 1], rs[j + 1]
+        return halves[j], rs[j]
+
+    def bounded(value: int, span: int) -> int:
+        """Lemire's multiply-and-reject from the half ``value`` on."""
+        threshold = (2**32 - span) % span
+        m = value * span
+        while m & _LOW < threshold:
+            m = half()[0] * span
+        return m >> 32
+
+    for _ in range(FACTORIZATION_DRAWS):
+        while at + 2 > size:
+            refill()
+        code = codes[at]
+        if code == _INSIDE:
+            lam = complex(parts[at], parts[at + 1])
+        at += 2
+        if code == _OUTSIDE:
+            continue
+        value, r = half()
+        if not r:
+            r = 2 + bounded(value, 11)
+        if code == _ESCAPES:
+            continue
+        vals = julia._bounded_stage_values(sysm, lam, r)
+        if vals is None:
+            continue
+        k = 1 if r == 2 else 1 + bounded(half()[0], r - 1)
+        kept += 1
+        yield lam, r, k, vals
+        if kept == count:
+            return
+    raise ValueError(f"{FACTORIZATION_DRAWS} draws gave {kept} of {count} bounded cases")
 
 
 def _suite_factorization(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
@@ -309,32 +396,19 @@ def _suite_factorization(sysm: FiberedSystem, seed: int) -> tuple[bool, str]:
     ``lam = complex(*rng.uniform(-1, 1, size=2))``, rejected outside the unit
     disk; ``r = rng.integers(2, 13)``, rejected when lam escapes by stage r;
     then ``k = rng.integers(1, r)``.  They are replayed from the raw words of
-    its bit generator: a ``Generator`` call per draw would take most of the
-    suite's time, more than its stage arithmetic.  The replay applies
-    ``Generator``'s rules: a double is ``(w >> 11) * 2**-53`` of a fresh word
-    w, and ``uniform(-1, 1)`` is ``-1 + 2u`` of it, where 2u is exact; an
-    integer is ``_bounded`` over ``_uint32s``.  numpy keeps the raw streams
-    of its bit generators stable, so these are the same words in the same
-    order as the calls themselves would take; the tests compare the replay
-    with the installed ``Generator``."""
-    words = _raw_words(np.random.default_rng(seed).bit_generator)
-    uint32s = _uint32s(words)
-    resids = []
-    draws = 0
-    while len(resids) < 100:
-        if draws == FACTORIZATION_DRAWS:
-            raise ValueError(f"{draws} draws gave {len(resids)} of 100 bounded cases")
-        draws += 1
-        lam = complex(-1.0 + 2.0 * ((next(words) >> 11) * 2**-53),
-                      -1.0 + 2.0 * ((next(words) >> 11) * 2**-53))
-        if abs(lam) > 1:
-            continue
-        r = 2 + _bounded(uint32s, 11)
-        vals = julia._bounded_stage_values(sysm, lam, r)
-        if vals is None:
-            continue
-        k = 1 + _bounded(uint32s, r - 1)
-        resids.append(julia._factorization_residual(sysm, vals, r, k))
+    its bit generator, 1 024 at a time (``_factorization_cases``): a
+    ``Generator`` call per draw would take most of the suite's time, more
+    than its stage arithmetic.  The replay applies ``Generator``'s rules: a
+    double is ``(w >> 11) * 2**-53`` of a fresh word w, and
+    ``uniform(-1, 1)`` is ``-1 + 2u`` of it, where 2u is exact; an integer
+    is Lemire's multiply-and-reject over PCG64's ``next_uint32``.  numpy
+    keeps the raw streams of its bit generators stable, so these are the
+    same words in the same order as the calls themselves would take; the
+    tests compare the replay with the installed ``Generator``."""
+    bitgen = np.random.default_rng(seed).bit_generator
+    blocks = (bitgen.random_raw(1024) for _ in itertools.count())
+    resids = [julia._factorization_residual(sysm, vals, r, k)
+              for _, r, k, vals in _factorization_cases(sysm, blocks, 100)]
     # np.max, unlike max, propagates a NaN residual, which then fails the check.
     worst = float(np.max(resids))
     return worst < 1e-9, f"cases={len(resids)} worst_resid={worst:.17g}"

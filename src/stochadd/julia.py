@@ -41,13 +41,15 @@ class FiberedSystem:
     rebuilds it whole, at least twice as deep, and swaps it in with one
     attribute store.  It is never extended in place, so threads sharing a
     system (the bands of ``render``) each read a complete table, whichever
-    build they see.
+    build they see.  ``_trap_radii`` keeps its radii per depth in ``_radii``
+    the same way: computed once, then read.
     """
 
     base: BaseSeq
     probs: ProbSeq
     _table: tuple = field(default=((None,), (None,), (None,)), init=False, repr=False,
                           compare=False)
+    _radii: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def stages(self, depth: int) -> tuple[tuple, tuple, tuple]:
         """(d, p, c) with entries for at least r = 1..depth."""
@@ -171,6 +173,65 @@ def _jet(z, d: int, p: float, c: float):
     return _pow_int(h, d), d * _pow_int(h, d - 1) / p
 
 
+# CPython's complex scalar arithmetic, replayed on float64 arrays of real and
+# imaginary parts.  A Python complex rounds every real operation on its own,
+# and numpy's complex arrays do not always give its bits: the SIMD multiply may
+# fuse a multiply-add, and ``np.abs`` is not libm ``hypot``.  These functions
+# compute each element with the operations, in the order and with the
+# roundings, of Python 3.11's scalar arithmetic (``stage_values``,
+# ``_pow_int``, ``abs``), so every element has the bits of its own scalar
+# computation; the tests compare the two.
+
+
+def _c_mul(a, b, c, d):
+    """(a + bi)(c + di) as ``_Py_c_prod`` computes it: (ac - bd, ad + bc),
+    each product, the difference and the sum rounded on its own, with no
+    fused multiply-add (``TestHostRounding`` pins that on this interpreter)."""
+    return a * c - b * d, a * d + b * c
+
+
+def _c_pow(x, y, d: int):
+    """``_pow_int`` of x + yi: the same products in the same order, each by ``_c_mul``."""
+    if d == 0:
+        return np.ones_like(x), np.zeros_like(x)
+    bx, by = x, y
+    e = d
+    while not e & 1:
+        bx, by = _c_mul(bx, by, bx, by)
+        e >>= 1
+    rx, ry = bx, by
+    e >>= 1
+    while e:
+        bx, by = _c_mul(bx, by, bx, by)
+        if e & 1:
+            rx, ry = _c_mul(rx, ry, bx, by)
+        e >>= 1
+    return rx, ry
+
+
+def _c_rescale(x, y, p: float, c: float):
+    """(z - c) / p of z = x + yi and floats c and p > 0 by CPython 3.11's
+    rules, which first make each float a complex with imaginary part 0.
+
+    z - c is then (x - c, y - 0.0), and y - 0.0 is y, bit for bit.  z / p is
+    ``_Py_c_quot`` with ratio 0 / p = 0 and denominator p + 0 * 0 = p:
+    ((x + y * 0) / p, (y - x * 0) / p).  A product with zero is a signed zero,
+    or NaN beside an infinite or NaN part, so this differs from dividing each
+    part by p in the sign of a zero and in such NaNs.
+    """
+    x = x - c
+    return (x + y * 0.0) / p, (y - x * 0.0) / p
+
+
+def _c_abs(x, y):
+    """abs of x + yi as ``_Py_c_abs`` computes it: libm ``hypot``, which is inf
+    when a part is infinite, even beside a NaN.  Where both parts are finite
+    and the modulus overflows, ``abs`` raises ``OverflowError``; this is inf.
+    A NaN modulus may have another sign bit than the NaN of ``abs``, which no
+    comparison sees."""
+    return np.hypot(x, y)
+
+
 def stage_map(sys: FiberedSystem, r: int, z):
     """f_r(z) = ((z - (1-p_r)) / p_r) ** d_r, for a complex scalar or array."""
     if r < 1:
@@ -232,30 +293,35 @@ def witnesses(sys: FiberedSystem, lams, t: int, n: int) -> np.ndarray:
     Built one level block at a time: the block of states below q_r is d_r
     copies of the block below q_{r-1}, copy a times v_r ** a, so each product
     still runs in digit order.  Blocks are cut at n; past stage t the entries
-    repeat with period q_t.  The stage values and the power tables are
-    computed per lam in scalar arithmetic, as for a single witness; each
-    block is one broadcast multiply over all rows, and every row gets the
-    bits that lam alone would.
+    repeat with period q_t.  The stage values and the power tables
+    (entry e = entry e-1 times v_r, as a Python complex computes it) are
+    computed for all lam at once by ``_c_rescale``, ``_c_pow`` and
+    ``_c_mul``, with the bits of ``stage_values`` and of the scalar tables;
+    each block is one broadcast multiply over all rows, and every row gets
+    the bits that lam alone would.
     """
     if t < 1 or n < 1:
         raise ValueError("t and n must be >= 1")
     cut = min(t, len(levels(sys.base, n - 1)) + 1)
-    d = sys.stages(cut)[0]
-    vals = [stage_values(sys, lam, cut) for lam in lams]
-    out = np.ones((len(vals), 1), dtype=complex)
+    d, p, c = sys.stages(cut)
+    lam = np.asarray(lams, dtype=complex)
+    x, y = lam.real, lam.imag
+    out = np.ones((lam.size, 1), dtype=complex)
     # Powers of a large stage value may overflow; the inf and NaN entries stay
     # in the witness, for the eigen-residual to report.
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, cut + 1):
+            ix, iy = _c_rescale(x, y, p[r], c[r])
             # Below n, digit r stays under n / q_{r-1}: a block is at most 2n long.
-            tables = np.empty((len(vals), min(d[r], -(-n // out.shape[1]))), dtype=complex)
+            tables = np.empty((lam.size, min(d[r], -(-n // out.shape[1]))), dtype=complex)
             tables[:, 0] = 1.0 + 0.0j
-            for table, v in zip(tables, vals):
-                i = v[r - 1]
-                for e in range(1, table.size):
-                    table[e] = table[e - 1] * i
+            tx, ty = tables.real, tables.imag
+            for e in range(1, tables.shape[1]):
+                tx[:, e], ty[:, e] = _c_mul(tx[:, e - 1], ty[:, e - 1], ix, iy)
             block = out[:, None, :] * tables[:, :, None]
-            out = block.reshape(len(vals), block.shape[1] * block.shape[2])[:, :n]
+            out = block.reshape(lam.size, block.shape[1] * block.shape[2])[:, :n]
+            if r < cut:
+                x, y = _c_pow(ix, iy, d[r])
     return np.tile(out, (1, -(-n // out.shape[1])))[:, :n]
 
 
@@ -361,11 +427,16 @@ def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
     A radius below 2**-900 (in particular one <= 0) and every radius before it
     is the sentinel -1, so no modulus, not even 0, is trapped there.  With
     ``bailout < 1`` nothing is trapped; with any ``bailout >= 1`` the radii
-    hold unchanged, since a modulus <= 1 never escapes.
+    hold unchanged, since a modulus <= 1 never escapes.  Those radii are
+    computed once per system and depth and kept in ``sys._radii``: the list
+    returned is shared, and its readers never write it.
     """
-    tau = [_NO_TRAP] * (depth + 1)
     if not bailout >= 1.0:
+        return [_NO_TRAP] * (depth + 1)
+    tau = sys._radii.get(depth)
+    if tau is not None:
         return tau
+    tau = [_NO_TRAP] * (depth + 1)
     d, p, c = sys.stages(depth)
     t = tau[depth] = 1.0
     for r in range(depth, 0, -1):
@@ -377,6 +448,7 @@ def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
         if not t >= _TAU_FLOOR:
             break
         tau[r - 1] = t
+    sys._radii[depth] = tau
     return tau
 
 
@@ -566,9 +638,10 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
 
     The computed rows are split into ``threads`` bands (one when
     ``threads < 1``), each run through the escape kernel on its own thread;
-    the grid is the same for any thread count.  The trapping radii and the
-    escape radius are computed once per call and shared by the bands; each
-    band builds only its own parameters.
+    the grid is the same for any thread count.  The trapping radii (from the
+    system's cache, filled here before the bands start) and the escape
+    radius are read once per call and shared by the bands; each band builds
+    only its own parameters.
     """
     re_min, re_max, im_min, im_max = (float(x) for x in window)
     width, height = (int(x) for x in resolution)

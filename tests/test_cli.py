@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -12,14 +13,16 @@ import pytest
 import stochadd
 from stochadd import julia, machine, spectrum
 from stochadd.cli import (
+    _ESCAPES,
+    _INSIDE,
+    _OUTSIDE,
     FACTORIZATION_DRAWS,
     PRESETS,
     RENORM_STATES,
-    _bounded,
+    _draw_tables,
     _escape_samples,
-    _raw_words,
+    _factorization_cases,
     _suite_factorization,
-    _uint32s,
     main,
 )
 from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
@@ -378,6 +381,78 @@ def reference_factorization(sysm, seed):
     return worst < 1e-9, f"cases={kept} worst_resid={worst:.17g}"
 
 
+def raw_words(bitgen):
+    """The raw 64-bit words of ``bitgen`` as Python ints, in stream order."""
+    while True:
+        yield from bitgen.random_raw(1024).tolist()
+
+
+def uint32s(words):
+    """PCG64's ``next_uint32`` over ``words``: the low half of a fresh word,
+    then its high half, which the bit generator keeps for the next call.  A
+    word is taken only when its low half is asked for, so doubles drawn from
+    ``words`` in between take the words after it, as in a ``Generator``."""
+    for word in words:
+        yield word & 0xFFFF_FFFF
+        yield word >> 32
+
+
+def bounded(halves, span):
+    """``Generator.integers(low, low + span) - low`` for 1 <= span <= 2**32,
+    by Lemire's multiply-and-reject over ``halves``; a span of 1 takes none."""
+    if span == 1:
+        return 0
+    threshold = (2**32 - span) % span
+    m = next(halves) * span
+    while m & 0xFFFF_FFFF < threshold:
+        m = next(halves) * span
+    return m >> 32
+
+
+def oracle_cases(sysm, words, count):
+    """The factorization walk one draw at a time over the Python ints
+    ``words``: (lam, r, k, stage values) of the first ``count`` kept cases."""
+    halves = uint32s(words)
+    cases = []
+    for _ in range(FACTORIZATION_DRAWS):
+        lam = complex(-1.0 + 2.0 * ((next(words) >> 11) * 2**-53),
+                      -1.0 + 2.0 * ((next(words) >> 11) * 2**-53))
+        if abs(lam) > 1:
+            continue
+        r = 2 + bounded(halves, 11)
+        vals = julia._bounded_stage_values(sysm, lam, r)
+        if vals is None:
+            continue
+        cases.append((lam, r, 1 + bounded(halves, r - 1), vals))
+        if len(cases) == count:
+            return cases
+    raise ValueError(f"{FACTORIZATION_DRAWS} draws gave {len(cases)} of {count} bounded cases")
+
+
+def case_bits(cases):
+    """The cases with every complex as the hex of its parts: -0 and NaN compare as bits."""
+    def hexes(z):
+        return z.real.hex(), z.imag.hex()
+    return [(hexes(lam), r, k, [hexes(v) for v in vals]) for lam, r, k, vals in cases]
+
+
+def word_of(u):
+    """A raw word whose double (w >> 11) * 2**-53 is ``u``, a multiple of 2**-53."""
+    return int(u * 2**53) << 11
+
+
+def lam_words(lam):
+    """The two raw words that the suite turns into ``lam``, rounded onto its grid."""
+    return [word_of((part + 1.0) / 2.0) for part in (lam.real, lam.imag)]
+
+
+def half_for(span, value):
+    """A half-word whose first Lemire try takes it and gives ``value`` below
+    ``span``: the low bits of half * span are in [span, 2 span), above the
+    threshold (2**32 - span) % span."""
+    return -(-(value << 32) // span) + 1
+
+
 class TestFactorizationDraws:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_matches_orbit_then_check_loop(self, preset):
@@ -395,15 +470,15 @@ class TestFactorizationDraws:
         for seed in range(100):
             calls = np.random.default_rng([seed, 1]).integers(-1, len(spans), size=2000)
             rng = np.random.default_rng(seed)
-            words = _raw_words(np.random.default_rng(seed).bit_generator)
-            uint32s = _uint32s(words)
+            words = raw_words(np.random.default_rng(seed).bit_generator)
+            halves = uint32s(words)
             for call in calls.tolist():
                 if call < 0:
                     assert (next(words) >> 11) * 2**-53 == rng.random()
                 else:
                     low = call - 3
                     want = int(rng.integers(low, low + spans[call]))
-                    assert low + _bounded(uint32s, spans[call]) == want, (seed, spans[call])
+                    assert low + bounded(halves, spans[call]) == want, (seed, spans[call])
 
     @pytest.mark.parametrize("seed", [0, 1, 20])
     def test_scaled_random_is_uniform(self, seed):
@@ -412,6 +487,116 @@ class TestFactorizationDraws:
         got = np.array([-1.0 + 2.0 * rng.random() for _ in range(100_000)])
         want = np.random.default_rng(seed).uniform(-1, 1, size=100_000)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+SYS_DISK = julia.FiberedSystem(parse_base_spec("const:2"), parse_probs_spec("pconst:1"))
+# Stage 1 maps 1 + 1.357 exp(7i pi / 8), inside the unit disk, to a value
+# with parts near 1.3e308 whose modulus overflows: abs raises there.
+SYS_OVERFLOW = julia.FiberedSystem(parse_base_spec("const:2"),
+                                   parse_probs_spec("plist:1e-154;tail=1"))
+LAM_OVERFLOW = 1.0 + 1.357 * complex(math.cos(7 * math.pi / 8), math.sin(7 * math.pi / 8))
+
+
+class TestFactorizationWalk:
+    """The table-driven walk against ``oracle_cases``, the same draws one at a
+    time, on word streams cut into blocks of any size and on crafted words
+    that reach the branches no seed does."""
+
+    def check(self, sysm, words, sizes=(1024,), count=100):
+        """The walk over ``words`` in blocks of ``sizes``, then random words, equals the oracle."""
+        tail = np.random.default_rng(99).bit_generator.random_raw(20_000)
+        stream = np.concatenate((np.array(words, dtype=np.uint64), tail))
+        cuts = np.cumsum(list(itertools.islice(itertools.cycle(sizes), stream.size)))
+        blocks = iter(np.split(stream, cuts[cuts < stream.size]))
+        got = list(_factorization_cases(sysm, blocks, count))
+        assert case_bits(got) == case_bits(oracle_cases(sysm, iter(stream.tolist()), count))
+        return got
+
+    @pytest.mark.parametrize("preset", ["fig3a", "fig6a", "fig8a", "fig10a"])
+    @pytest.mark.parametrize("sizes", [(1,), (2,), (3,), (1, 2, 5), (1023, 1, 1024, 2), (1025,)])
+    def test_any_block_sizes(self, preset, sizes):
+        # Blocks of one and two words end at every place a draw can: between
+        # the words of a lam, between a lam and its integers, with a kept half
+        # from the block before, and used up exactly.
+        base_spec, probs_spec = PRESETS[preset]
+        sysm = julia.FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+        for seed in (0, 1):
+            bitgen = np.random.default_rng(seed).bit_generator
+            self.check(sysm, bitgen.random_raw(3000).tolist(), sizes)
+
+    def test_span_one_takes_no_half(self):
+        # r = 2 gives k = integers(1, 2) = 1, which takes no half: the high
+        # half of r's word gives the next r, and it is 7.
+        lam = lam_words(0.5 + 0.25j)
+        words = [*lam, (half_for(11, 5) << 32) | half_for(11, 0), *lam]
+        got = self.check(SYS_DISK, words, count=2)
+        assert [(r, k) for _, r, k, _ in got] == [(2, 1), (7, got[1][2])]
+
+    def test_rejected_first_try_for_r(self):
+        # Half 0 gives 0 * 11 = 0 below the threshold 4: r takes the kept high
+        # half instead, and k a fresh word.
+        lam = lam_words(0.5 + 0.25j)
+        words = [*lam, half_for(11, 9) << 32, half_for(10, 3)]
+        got = self.check(SYS_DISK, words, count=1)
+        assert [(r, k) for _, r, k, _ in got] == [(11, 4)]
+
+    def test_rejected_first_try_for_k(self):
+        # r = 4 gives k = integers(1, 4): span 3, threshold 1, so half 0 is
+        # rejected and the next word's low half gives k.
+        lam = lam_words(0.5 + 0.25j)
+        words = [*lam, half_for(11, 2), half_for(3, 2)]
+        for sizes in [(1024,), (3,), (4,)]:
+            got = self.check(SYS_DISK, words, sizes, count=1)
+            assert [(r, k) for _, r, k, _ in got] == [(4, 3)]
+
+    def test_overflowing_modulus_goes_to_the_scalar_loop(self):
+        [x, y] = lam_words(LAM_OVERFLOW)
+        words = np.array([x, y, half_for(11, 0)], dtype=np.uint64)
+        codes = _draw_tables(SYS_OVERFLOW, words)[0]
+        assert codes[0] == _INSIDE
+        lam = complex(-1.0 + 2.0 * ((x >> 11) * 2**-53), -1.0 + 2.0 * ((y >> 11) * 2**-53))
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            julia._bounded_stage_values(SYS_OVERFLOW, lam, 2)
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            list(_factorization_cases(SYS_OVERFLOW, iter([words]), 1))
+
+    def test_overflowing_modulus_fails_the_suite(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "factorization", "--base", "const:2",
+                           "--probs", "plist:1e-154;tail=1")
+        assert code == 1
+        assert out == "FAIL factorization custom error=absolute value too large\n"
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_codes_match_the_scalar_loop(self, preset):
+        base_spec, probs_spec = PRESETS[preset]
+        sysm = julia.FiberedSystem(parse_base_spec(base_spec), parse_probs_spec(probs_spec))
+        words = np.random.default_rng(5).bit_generator.random_raw(1025)
+        codes, rs, halves, parts = _draw_tables(sysm, words)
+        assert len(codes) == 1024 and len(rs) == len(halves) == 2050 and len(parts) == 1025
+        for j, word in enumerate(words.tolist()):
+            assert parts[j] == -1.0 + 2.0 * ((word >> 11) * 2**-53)
+            assert (halves[2 * j], halves[2 * j + 1]) == (word & 0xFFFF_FFFF, word >> 32)
+        for j, h in enumerate(halves.tolist()):
+            assert rs[j] == (0 if h * 11 & 0xFFFF_FFFF < 4 else 2 + (h * 11 >> 32))
+        for j in range(1024):
+            lam = complex(parts[j], parts[j + 1])
+            want = (_OUTSIDE if abs(lam) > 1 else
+                    _ESCAPES if julia._bounded_stage_values(sysm, lam, 2) is None else _INSIDE)
+            assert codes[j] == want
+
+
+@pytest.mark.parametrize("argv", [["verify", "--suite", "all"],
+                                  ["report", "--preset", "fig8a", "--depth", "4"]],
+                         ids=["verify-all", "report-fig8a"])
+def test_runs_clean_with_warnings_as_errors(argv):
+    # The array kernels overflow and make NaN on purpose, inside np.errstate;
+    # under -W error any warning that leaks out would end the run.
+    src = Path(stochadd.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "stochadd.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_import_leaves_scipy_spatial_unloaded():

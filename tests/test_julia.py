@@ -375,10 +375,103 @@ class TestWitnesses:
     def test_no_rows(self):
         assert witnesses(SYS_37, [], 3, 10).shape == (0, 10)
 
+    @pytest.mark.parametrize("t, n", [(1, 1), (2, 7), (50, 1000)])
+    def test_no_rows_from_an_empty_array(self, t, n):
+        got = witnesses(PRESET_SYSTEMS["fig8a"], np.zeros(0, dtype=complex), t, n)
+        assert got.shape == (0, n) and got.dtype == complex
+
     @pytest.mark.parametrize("t, n", [(0, 5), (3, 0)])
     def test_bad_arguments_raise(self, t, n):
         with pytest.raises(ValueError, match="t and n must be >= 1"):
             witnesses(SYS_37, [0.5], t, n)
+
+
+def parts_bits(x, y):
+    """The bits of parallel real and imaginary parts: NaN equals NaN, -0 differs from 0."""
+    return np.stack([np.asarray(x, dtype=float), np.asarray(y, dtype=float)]).view(np.uint64)
+
+
+def complex_bits(zs):
+    return parts_bits([z.real for z in zs], [z.imag for z in zs])
+
+
+INF, NAN = math.inf, math.nan
+EDGE_LAMS = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 1 + 0j,
+             50 + 10j, 1e8 * (1 + 1j), complex(INF, 0.5), complex(-INF, -0.0),
+             complex(0.3, INF), complex(NAN, 0.2), complex(0.2, NAN), complex(INF, NAN),
+             complex(-1e308, 1e308), complex(1e-310, -1e-320)]
+# A subnormal p_1 scales stage 1 by 1e310: most of its values overflow.
+SYS_SUBNORMAL = FiberedSystem(parse_base_spec("fib"),
+                              parse_probs_spec("plist:1e-310,0.7;tail=0.55"))
+
+
+def kernel_lams(sysm, seed):
+    """Edge values, 1 - p_1 (stage value 0), and random lam from 1e-300 to 1e300 in modulus."""
+    rng = np.random.default_rng(seed)
+    wide = 10.0 ** rng.uniform(-300, 300, 100) * np.exp(1j * rng.uniform(0, 2 * np.pi, 100))
+    return [*EDGE_LAMS, complex(sysm.stages(1)[2][1]),
+            *rng.uniform(-1.6, 1.6, (400, 2)).view(complex)[:, 0].tolist(), *wide.tolist()]
+
+
+class TestArrayKernel:
+    """``_c_rescale``, ``_c_pow``, ``_c_mul`` and ``_c_abs`` give the bits of
+    ``_rescale``, ``_pow_int``, the product and ``abs`` of Python complex
+    numbers, element by element.  numpy's complex multiply (which may fuse a
+    multiply-add) and ``np.abs`` differ from them on about a third of random
+    values, so a kernel that used either fails here."""
+
+    @pytest.mark.parametrize("name", [*sorted(PRESETS), "subnormal"])
+    def test_stage_loop_matches_scalars(self, name):
+        sysm = PRESET_SYSTEMS.get(name, SYS_SUBNORMAL)
+        lams = kernel_lams(sysm, len(name))
+        d, p, c = sysm.stages(12)
+        vals = [stage_values(sysm, lam, 12) for lam in lams]
+        x = np.array([z.real for z in lams])
+        y = np.array([z.imag for z in lams])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for r in range(1, 13):
+                x, y = julia._c_rescale(x, y, p[r], c[r])
+                assert np.array_equal(parts_bits(x, y), complex_bits([v[r - 1] for v in vals])), r
+                x, y = julia._c_pow(x, y, d[r])
+                powers = [julia._pow_int(v[r - 1], d[r]) for v in vals]
+                assert np.array_equal(parts_bits(x, y), complex_bits(powers)), r
+                for z, mod in zip(powers, julia._c_abs(x, y).tolist()):
+                    try:
+                        want = abs(z)
+                    except OverflowError:
+                        assert mod == INF and math.isfinite(z.real) and math.isfinite(z.imag)
+                    else:
+                        assert mod == want or math.isnan(mod) and math.isnan(want)
+
+    @pytest.mark.parametrize("size", [2, 7, 1000])
+    def test_products_match_python(self, size):
+        rng = np.random.default_rng(size)
+        scale = 10.0 ** rng.integers(-150, 150, (2, 3000))
+        a = rng.uniform(-1, 1, (3000, 2)).view(complex)[:, 0] * scale[0]
+        b = rng.uniform(-1, 1, (3000, 2)).view(complex)[:, 0] * scale[1]
+        a[:len(EDGE_LAMS)] = EDGE_LAMS
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(0, 3000, size):
+                x, y = julia._c_mul(a.real[j:j + size], a.imag[j:j + size],
+                                    b.real[j:j + size], b.imag[j:j + size])
+                want = [u * v for u, v in zip(a[j:j + size].tolist(), b[j:j + size].tolist())]
+                assert np.array_equal(parts_bits(x, y), complex_bits(want))
+
+    def test_moduli_match_python(self):
+        rng = np.random.default_rng(4)
+        scale = 10.0 ** rng.integers(-300, 300, 20_000)
+        z = rng.uniform(-1, 1, (20_000, 2)).view(complex)[:, 0] * scale
+        z[:len(EDGE_LAMS)] = EDGE_LAMS
+        got = julia._c_abs(z.real, z.imag)
+        assert np.array_equal(got, [abs(w) for w in z.tolist()], equal_nan=True)
+
+    @pytest.mark.parametrize("d", [0, 1, 2, 3, 12, 233])
+    def test_powers_of_every_degree(self, d):
+        lams = kernel_lams(SYS_37, d)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y = julia._c_pow(np.array([z.real for z in lams]),
+                                np.array([z.imag for z in lams]), d)
+        assert np.array_equal(parts_bits(x, y), complex_bits([julia._pow_int(z, d) for z in lams]))
 
 
 def factorization_oracle(sysm, lam, r, k):
@@ -713,6 +806,32 @@ class TestTrapRadii:
         for sysm in (SYS_DISK, SYS_37, PRESET_SYSTEMS["fig8a"]):
             assert _trap_radii(sysm, 120, 1.0) == _trap_radii(sysm, 120, 1e6)
 
+    def test_computed_once_per_system_and_depth(self, monkeypatch):
+        radii = []
+
+        def band_kernel(sysm, lam_flat, depth, bailout, tau, radius):
+            radii.append(tau)
+            return real(sysm, lam_flat, depth, bailout, tau, radius)
+
+        real = julia._band_kernel
+        monkeypatch.setattr(julia, "_band_kernel", band_kernel)
+        sysm = FiberedSystem(parse_base_spec("fib"), parse_probs_spec("pconst:0.55"))
+        fresh = FiberedSystem(sysm.base, sysm.probs)
+        lam = np.random.default_rng(0).uniform(-1, 1, (50, 2)).view(complex)[:, 0]
+        for _ in range(2):
+            render(sysm, DEFAULT_WINDOW, (24, 24), 200, threads=2)
+            _render_band(sysm, lam, 200)
+            _render_band(sysm, lam, 200, bailout=1e6)
+            _render_band(sysm, lam, 12)
+        # Every band and call of one depth read the one list the first call
+        # computed; render fills the cache before its bands start.
+        assert sorted(sysm._radii) == [12, 200]
+        assert all(tau is sysm._radii[len(tau) - 1] for tau in radii) and len(radii) == 10
+        assert _trap_radii(sysm, 200, 7.0) is sysm._radii[200]
+        assert sysm._radii[200] == _trap_radii(fresh, 200, 1.0)
+        assert _trap_radii(sysm, 12, 0.5) == [-1.0] * 13 and sorted(sysm._radii) == [12, 200]
+        assert sysm == fresh and hash(sysm) == hash(fresh)
+
     def test_disk_radii_stay_just_below_one(self):
         tau = _trap_radii(SYS_DISK, 200, 1.0)
         assert all(1.0 - 1e-13 < t < 1.0 - 8 * U for t in tau[:200])
@@ -751,6 +870,30 @@ class TestHostRounding:
             exact = Fraction(xk) / Fraction(p)
             assert abs(Fraction(wk)) <= bound * abs(exact) + Fraction(2.0 ** -1074)
             assert abs(Fraction(wk)) >= lower * abs(exact) - Fraction(2.0 ** -1074)
+
+    def test_python_complex_rules(self):
+        # julia._c_mul and julia._c_rescale replay these rules.
+        # _Py_c_prod rounds each product on its own: a fused multiply-add
+        # would leave -2**-60 or 2**-60 in the real part.
+        assert complex(1 + 2**-30, 1.0) * complex(1 - 2**-30, 1.0) == 2j
+        assert complex(1.0, 1 + 2**-30) * complex(1.0, 1 - 2**-30) == 2j
+        # Python 3.11 makes the float of ``complex - float`` and
+        # ``complex / float`` a complex with imaginary part 0.0 (later
+        # releases compute with the float itself).  complex / p is then
+        # _Py_c_quot: ((x + y * 0) / p, (y - x * 0) / p).
+        q = complex(1.0, INF) / 2.0
+        assert math.isnan(q.real) and q.imag == INF
+        q = complex(-0.0, 1.0) / 2.0
+        assert math.copysign(1.0, q.real) == 1.0 and q.imag == 0.5
+        q = complex(NAN, -0.0) / 4.0
+        assert math.isnan(q.real) and math.isnan(q.imag)
+        h = complex(0.5, -0.0) - 0.25
+        assert h == 0.25 and math.copysign(1.0, h.imag) == -1.0
+        for z, p in [(complex(1.0, INF), 2.0), (complex(-0.0, 1.0), 2.0),
+                     (complex(NAN, -0.0), 4.0), (complex(0.5, -0.0), 0.75)]:
+            with np.errstate(invalid="ignore"):
+                got = julia._c_rescale(np.array([z.real]), np.array([z.imag]), p, 1.0 - p)
+            assert np.array_equal(parts_bits(*got), complex_bits([(z - (1.0 - p)) / p]))
 
     @pytest.mark.parametrize("size", [1, 2, 1000])
     def test_complex_multiply_within_three_units(self, size):
