@@ -13,7 +13,11 @@ It may also decide "escaped at stage 1" before computing the first stage's
 power: the bounded set lies in the disk |lam - (1-p_1)| <= p_1, and a
 parameter whose distance from its centre exceeds the radius of
 ``_escape_radius``, a few dozen ulps outside the circle that f_1 maps onto
-the bailout circle, provably escapes there.
+the bailout circle, provably escapes there.  ``render`` applies both
+certificates to whole rows of pixel centres before the kernel: one chord per
+row of the escape disk and one of the trapping disk |lam| <= tau_0
+(``_row_chords``) decide most centres, and only the annulus between them
+runs through the kernel.
 """
 
 from __future__ import annotations
@@ -293,7 +297,8 @@ def witnesses(sys: FiberedSystem, lams, t: int, n: int) -> np.ndarray:
     Built one level block at a time: the block of states below q_r is d_r
     copies of the block below q_{r-1}, copy a times v_r ** a, so each product
     still runs in digit order.  Blocks are cut at n; past stage t the entries
-    repeat with period q_t.  The stage values and the power tables
+    repeat with period q_t, tiled only when the last block is shorter than n
+    (otherwise the cut block itself is returned).  The stage values and the power tables
     (entry e = entry e-1 times v_r, as a Python complex computes it) are
     computed for all lam at once by ``_c_rescale``, ``_c_pow`` and
     ``_c_mul``, with the bits of ``stage_values`` and of the scalar tables;
@@ -322,7 +327,8 @@ def witnesses(sys: FiberedSystem, lams, t: int, n: int) -> np.ndarray:
             out = block.reshape(lam.size, block.shape[1] * block.shape[2])[:, :n]
             if r < cut:
                 x, y = _c_pow(ix, iy, d[r])
-    return np.tile(out, (1, -(-n // out.shape[1])))[:, :n]
+    repeats = -(-n // out.shape[1])
+    return out if repeats == 1 else np.tile(out, (1, repeats))[:, :n]
 
 
 def _bounded_stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex] | None:
@@ -613,9 +619,100 @@ def _band_kernel(sys: FiberedSystem, lam_flat: np.ndarray, depth: int, bailout: 
     return escaped, stage
 
 
+def _row_chords(re: np.ndarray, im: np.ndarray, c1: float, radius: float,
+                tau0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row i of pixel centres re_j + i im_i, the columns that
+    ``_band_kernel`` provably decides at stage 1: (lo, hi, tlo, thi), with
+    lo <= tlo <= thi <= hi.
+
+    - Outside [lo_i, hi_i): np.abs(lam - c_1) > R_1 = ``radius``, so the
+      kernel flags lam escaped at stage 1 (``_escape_radius``).
+    - In [tlo_i, thi_i): np.abs(lam) <= tau_0 = ``tau0``, so the kernel
+      leaves lam unescaped at its depth: by ``_trap_radii``'s proof the
+      stage-1 modulus is <= tau_1 <= 1, so the R_1 test does not flag it
+      either.  The chord is empty when ``tau0`` is not positive.
+
+    Only the annulus [lo, tlo) and [thi, hi) needs the kernel.  ``re`` holds
+    one row's real parts as ``center_at`` computes them, re_min + (j + 0.5)
+    dx: rounding is monotone, so ``re`` is nondecreasing and so is
+    ``re - c1``.  The kernel's lam has exactly these parts, and numpy takes
+    lam - c_1 as lam - (c_1 + 0j), whose parts are fl(re_j - c_1) and
+    im_i - 0 = im_i.  So the R_1 chord searches ``re - c1``, which holds
+    the kernel's real parts of h = fl(lam - c_1) bit for bit, and the tau_0
+    chord searches ``re``.  With u = 2**-53 and eta = 2**-990, a rounded
+    product is within u of its value plus 2**-1075 of underflow, a rounded
+    sum within u of its value, ``np.sqrt`` within u, and, as in
+    ``_trap_radii``, (1 - 4u) |z| - eta <= np.abs(z) <= (1 + 4u) |z| + eta.
+    Write y = im_i; the imaginary part of h is y too.
+
+    Outer chord.  S = fl(fl(R_1 + eta) (1 + 8u)) >= (R_1 + eta) (1 - u)**2 (1 + 8u)
+    >= (R_1 + eta) / (1 - 4u), so |h| > S gives np.abs(h) > R_1.  Let
+    P = fl(S S), Q = fl(y y) and D = fl(P - Q).  When |y| <= S, Q <= P, and
+
+    - S**2 - y**2 <= (P - Q) + u (S**2 + y**2) + 2**-1074 (the squares),
+    - P - Q <= D + u P (the difference), and S**2 <= P (1 + 2u) + 2**-1074,
+
+    so S**2 - y**2 <= D + 4u P + 2**-1073.  The additive slack
+    K = fl(16u P) >= 16u P - 2**-1075 and eta covers it: the two sums of
+    T = fl(fl(D + K) + eta) are at most 3P + eta in modulus and cost at most
+    6u P + u eta, so T >= D + 10u P + eta / 2 >= S**2 - y**2.  The half-width
+    A = fl(fl(sqrt(max(T, 0))) (1 + 4u)) >= sqrt(T) (1 - u)**2 (1 + 4u) >= sqrt(T),
+    since T >= eta / 2 is far from underflow.  A real part |h_r| > A then
+    gives |h|**2 = h_r**2 + y**2 > S**2.  When |y| > S, every A >= 0 holds
+    (a row past the disk, or y**2 = inf, gives T <= 0 and A = 0).
+
+    Inner chord.  t = fl(fl(tau_0 - eta) (1 - 8u)) <= (tau_0 - eta) (1 + u)**2 (1 - 8u)
+    <= (tau_0 - eta) / (1 + 4u), so |lam| <= t gives np.abs(lam) <= tau_0.
+    With P = fl(t t), Q = fl(y y), D = fl(P - Q) and K = fl(16u P), the same
+    bounds turned round give t**2 - y**2 >= D - 4u P - 2**-1073 when
+    |y| <= t, and T = fl(fl(D - K) - eta) <= D - 10u P - eta / 2 <= t**2 - y**2.
+    When |y| > t, Q >= P, so D <= 0 and T < 0.  For T > 0,
+    B = fl(fl(sqrt(T)) (1 - 4u)) <= sqrt(T) (1 + u)**2 (1 - 4u) <= sqrt(T),
+    and |re_j| <= B gives |lam|**2 <= T + y**2 <= t**2.  A tau_0 below about
+    2**-537 makes P underflow to 0, and the chord is empty.
+
+    Near the top and bottom of a disk, y is close to S or t and D cancels:
+    there the slack holds the outer chord at least sqrt(16u) S (about
+    6e-8 S) wide and closes the inner one early.  A wider outer chord or a
+    narrower inner one only sends more centres through the kernel.
+    """
+    with np.errstate(over="ignore"):  # y**2 of a huge window; T is then -inf
+        y2 = im * im
+    s = (radius + _ETA) * (1.0 + 8 * _U)
+    s2 = s * s
+    a = np.sqrt(np.maximum(((s2 - y2) + 16 * _U * s2) + _ETA, 0.0)) * (1.0 + 4 * _U)
+    h = re - c1
+    lo = np.searchsorted(h, -a, "left")
+    hi = np.searchsorted(h, a, "right")
+    if not tau0 > 0.0:
+        return lo, hi, lo, lo
+    t = (tau0 - _ETA) * (1.0 - 8 * _U)
+    t2 = t * t
+    b2 = ((t2 - y2) - 16 * _U * t2) - _ETA
+    b = np.sqrt(np.maximum(b2, 0.0)) * (1.0 - 4 * _U)
+    tlo = np.clip(np.searchsorted(re, -b, "left"), lo, hi)
+    thi = np.where(b2 > 0.0, np.clip(np.searchsorted(re, b, "right"), tlo, hi), tlo)
+    return lo, hi, tlo, thi
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The integers of the ranges [starts[k], stops[k]) (at least one range), range after range."""
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
+
+
 def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
            threads: int = 1) -> MembershipGrid:
     """Escape-time grid over pixel centers.
+
+    Most centres of a row are decided without the escape kernel, by two
+    chords of the row (``_row_chords`` gives the proof).  Centres farther
+    from c_1 than the stage-1 escape radius R_1 are flagged escaped at
+    stage 1, and centres inside the trapping radius tau_0 bounded at
+    ``depth``: the kernel would give each of them exactly that.  Only the
+    annulus between the chords, one or two runs of columns per row, goes
+    through the kernel.
 
     A row whose centers are the exact conjugates of an earlier row's is not
     run through the kernel: it copies that row's flags and stages.  The copy
@@ -632,16 +729,19 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     - ``np.abs``.
 
     So the two orbits differ at most in the sign of a zero part, which no
-    modulus sees, and a NaN shows up in both or in neither.  Rows are paired
-    by value, not by bits; a row on the real axis (+0 or -0) is its own
-    mirror and is computed.
+    modulus sees, and a NaN shows up in both or in neither.  A centre that a
+    chord decides gets the kernel's result, so the copy stays exact.  Rows
+    are paired by value, not by bits; a row on the real axis (+0 or -0) is
+    its own mirror and is computed.
 
-    The computed rows are split into ``threads`` bands (one when
-    ``threads < 1``), each run through the escape kernel on its own thread;
-    the grid is the same for any thread count.  The trapping radii (from the
-    system's cache, filled here before the bands start) and the escape
-    radius are read once per call and shared by the bands; each band builds
-    only its own parameters.
+    The computed rows with annulus centres are split into at most
+    ``threads`` bands (one when ``threads < 1``) of whole rows, balanced by
+    their annulus centres, none empty; each band runs through the escape
+    kernel on its own thread, and its results are scattered back by flat
+    index.  The grid is the same for any thread count.  The trapping radii
+    (from the system's cache, filled here before the bands start) and the
+    escape radius are read once per call and shared by the bands; each band
+    builds only its own parameters.
     """
     re_min, re_max, im_min, im_max = (float(x) for x in window)
     width, height = (int(x) for x in resolution)
@@ -655,24 +755,21 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     if depth < 1:
         raise ValueError("depth must be >= 1")
 
+    # Every centre starts escaped at stage 1; the chords and the kernel set the rest.
     grid = MembershipGrid((re_min, re_max, im_min, im_max), width, height, depth,
-                          np.empty((height, width), dtype=bool),
-                          np.empty((height, width), dtype=np.int32))
+                          np.ones((height, width), dtype=bool),
+                          np.ones((height, width), dtype=np.int32))
+    escaped, stage = grid.escaped.reshape(-1), grid.stage.reshape(-1)  # views
 
     tau = _trap_radii(sys, depth, 1.0)
     radius = _escape_radius(sys, 1.0)
-
-    def band(rows):
-        # Each band builds and fills only its own rows: no full parameter grid is held.
-        lam = grid.center_at(rows[:, None], np.arange(width)).reshape(-1)
-        escaped, stage = _band_kernel(sys, lam, depth, 1.0, tau, radius)
-        grid.escaped[rows] = escaped.reshape(-1, width)
-        grid.stage[rows] = stage.reshape(-1, width)
+    re = grid.center_at(0, np.arange(width)).real
+    im = grid.center_at(np.arange(height), 0).imag
 
     # Row j copies the first computed row i whose imaginary part is -im[j].
     computed, mirrors, sources = [], [], []
     first = {}
-    for j, y in enumerate(grid.center_at(np.arange(height), 0).imag.tolist()):
+    for j, y in enumerate(im.tolist()):
         i = first.get(-y) if y else None
         if i is None:
             first.setdefault(y, j)
@@ -681,10 +778,38 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
             mirrors.append(j)
             sources.append(i)
 
-    # Whole rows per band, at least one band; the bands cover every computed row once.
-    bands = np.array_split(np.array(computed), max(1, min(threads, len(computed))))
-    with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-        list(pool.map(band, bands))  # reading the results re-raises a band's error
+    rows = np.array(computed)
+    lo, hi, tlo, thi = _row_chords(re, im[rows], sys.stages(1)[2][1], radius, tau[0])
+    start = rows * width
+    inside = _spans(start + tlo, start + thi)
+    escaped[inside] = False
+    stage[inside] = depth
+    # The annulus centres in flat index order, row by row.
+    annulus = _spans(np.column_stack([start + lo, start + thi]).reshape(-1),
+                     np.column_stack([start + tlo, start + hi]).reshape(-1))
+
+    def band(flat):
+        # Each band builds only its own parameters: no full parameter grid is held.
+        row, col = np.divmod(flat, width)
+        lam = np.empty(flat.size, dtype=complex)
+        lam.real = re[col]
+        lam.imag = im[row]
+        escaped[flat], stage[flat] = _band_kernel(sys, lam, depth, 1.0, tau, radius)
+
+    # Bands of whole rows: band k ends at the first row end that reaches k / count
+    # of the annulus, and each band keeps at least one row with annulus centres.
+    per_row = (tlo - lo) + (hi - thi)
+    ends = np.cumsum(per_row)[per_row > 0]
+    count = max(1, min(threads, ends.size))
+    cuts, taken = [], 0
+    for k in range(1, count):
+        taken = min(max(int(np.searchsorted(ends, ends[-1] * k / count)) + 1, taken + 1),
+                    ends.size - count + k)
+        cuts.append(ends[taken - 1])
+    if annulus.size:
+        bands = np.split(annulus, cuts)
+        with ThreadPoolExecutor(max_workers=len(bands)) as pool:
+            list(pool.map(band, bands))  # reading the results re-raises a band's error
     grid.escaped[mirrors] = grid.escaped[sources]
     grid.stage[mirrors] = grid.stage[sources]
     return grid

@@ -324,7 +324,8 @@ class RenormReport:
     part2_max_diff: float
 
     def max_diff(self) -> float:
-        return max(self.part1_max_diff, self.part2_max_diff)
+        """The larger part, or NaN when either part is NaN (``max`` would drop it)."""
+        return float(np.max([self.part1_max_diff, self.part2_max_diff]))
 
 
 def renorm_check(r: int, n2: int, base: BaseSeq, probs: ProbSeq) -> RenormReport:
@@ -365,12 +366,13 @@ def renorm_check(r: int, n2: int, base: BaseSeq, probs: ProbSeq) -> RenormReport
     # The columns of class k (k = 1..d1, class d1 being class 0) are the
     # class-(k-1) embedding, of the identity or, for class 0, of S_{r+1}.
     colwin = max(1, win // d1)
-    part1 = 0.0
+    part1s = []
     for k in range(1, d1 + 1):
         want = np.zeros((n1, n2))
         want[k - 1::d1] = s_coarse if k == d1 else np.eye(n2)
         diff = renorm[:win, k % d1::d1][:, :colwin] - want[:win, :colwin]
-        part1 = max(part1, float(np.abs(diff).max()))
+        part1s.append(np.abs(diff).max())
+    part1 = float(np.max(part1s))  # np.max, unlike max, keeps a NaN class
 
     return RenormReport(r, n1, n2, margin, part1, part2)
 

@@ -335,9 +335,9 @@ def _boundary_chain(sys: FiberedSystem, depth: int, rng) -> tuple[complex, list[
         if abs(fpz) > 1e-12:
             z = z - (fz - w) / fpz
         w = vals[j - 1] = complex(z)
-    worst = 0.0
-    for j in range(1, depth + 1):
-        worst = max(worst, abs(_stage(vals[j - 1], d[j], p[j], c[j]) - vals[j]))
+    # np.max, unlike max, propagates a NaN step, which then fails certification.
+    worst = float(np.max([0.0, *(abs(_stage(vals[j - 1], d[j], p[j], c[j]) - vals[j])
+                                 for j in range(1, depth + 1))]))
     return vals[0], vals[1:], worst
 
 
@@ -433,11 +433,12 @@ def transient_limit_check(sys: FiberedSystem, grid: MembershipGrid, sample_count
     interior_max = float(np.abs(v).max())
 
     boundary_mods = []
-    chain_resid = 0.0
+    resids = []
     for _ in range(sample_count):
         _, vals, resid = _boundary_chain(sys, r_probe, rng)
-        chain_resid = max(chain_resid, resid)
+        resids.append(resid)
         boundary_mods.append(abs(vals[r_probe - 1]))
+    chain_resid = float(np.max(resids))  # a NaN residual stays NaN and fails the check
     b_min = min(boundary_mods)
     b_max = max(boundary_mods)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import math
@@ -137,6 +138,40 @@ class TestRender:
                 == (tmp_path / "b.pgm").read_bytes())
         assert ((tmp_path / "a.pbm").read_bytes()
                 == (tmp_path / "b.pbm").read_bytes())
+
+    # Windows whose every centre the row chords decide, so the escape kernel
+    # gets nothing: far off the set, inside fig3a's trapping disk
+    # |lam| <= tau_0 = 0.4, and the unit disk at 256x256.
+    CHORDS_ONLY = {
+        "off": (["--preset", "fig3a", "--window=2,3,2,3", "--res", "24x16"],
+                "bounded_pixels=0 escaped_pixels=384\n"),
+        "tau0": (["--preset", "fig3a", "--window=-0.2,0.2,-0.2,0.2", "--res", "24x16"],
+                 "bounded_pixels=384 escaped_pixels=0\n"),
+        "unit": (["--base", "const:2", "--probs", "pconst:1", "--res", "256x256"],
+                 "bounded_pixels=20108 escaped_pixels=45428\n"),
+    }
+
+    @pytest.mark.parametrize("threads", [0, 1, 2, 3, 7])
+    @pytest.mark.parametrize("case", sorted(CHORDS_ONLY))
+    def test_chords_alone_under_warnings_as_errors(self, capsys, monkeypatch, tmp_path, case,
+                                                   threads):
+        options, stdout = self.CHORDS_ONLY[case]
+        argv = ["render", *options, "--threads", str(threads), "--out"]
+        src = Path(stochadd.__file__).resolve().parents[1]
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "stochadd.cli", *argv,
+                               str(tmp_path / "sub")], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+        def band_kernel(*args):
+            raise AssertionError("the escape kernel ran")
+
+        monkeypatch.setattr(julia, "_band_kernel", band_kernel)
+        assert run(capsys, *argv, str(tmp_path / "in")) == (0, stdout, "")
+        for ext in ("pgm", "pbm", "meta"):
+            assert (tmp_path / f"sub.{ext}").read_bytes() == (tmp_path / f"in.{ext}").read_bytes()
 
     def test_presets_cover_gallery(self):
         for fig in (3, 4, 5, 6, 7, 8, 9, 10):
@@ -343,6 +378,24 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "witness", "--preset", "fig3a")
         assert code == 1
         assert out == "FAIL witness fig3a n=729 worst_over_bound=nan\n"
+
+    def test_nan_renorm_diff_fails(self, capsys, monkeypatch):
+        # const:2 compares a 16-state fine matrix with an 8-state coarse one.
+        build = machine.build_matrix
+
+        def with_nan(n_states, base, probs):
+            mat = build(n_states, base, probs)
+            if n_states != 8:
+                return mat
+            bad = mat.data.copy()
+            bad[mat.indptr[4]] = math.nan
+            return dataclasses.replace(mat, data=bad)
+
+        monkeypatch.setattr(machine, "build_matrix", with_nan)
+        code, out, _ = run(capsys, "verify", "--suite", "renorm", "--base", "const:2",
+                           "--probs", "pconst:0.5")
+        assert code == 1
+        assert out == "FAIL renorm custom n2=8 max_diff=nan\n"
 
     def test_nan_factorization_residual_fails(self, capsys, monkeypatch):
         calls = []

@@ -1,5 +1,6 @@
 import cmath
 import math
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -1227,39 +1228,223 @@ class TestMirrorRows:
         assert abs(im[0] + im[1]) == math.ulp(im[0])
         assert (grid.stage[0] != grid.stage[1]).any()
 
-    @staticmethod
-    def kernel_sizes(monkeypatch):
-        """Record the number of parameters of every ``_band_kernel`` call."""
-        sizes = []
-        kernel = julia._band_kernel
-
-        def counting(sysm, lam_flat, *args):
-            sizes.append(lam_flat.size)
-            return kernel(sysm, lam_flat, *args)
-
-        monkeypatch.setattr(julia, "_band_kernel", counting)
-        return sizes
-
     @pytest.mark.parametrize("threads", [1, 2])
     def test_kernel_runs_computed_rows_only(self, monkeypatch, threads):
-        sizes = self.kernel_sizes(monkeypatch)
-        render(PRESET_SYSTEMS["fig3a"], DEFAULT_WINDOW, (512, 512), 12, threads=threads)
-        assert sum(sizes) == 350 * 512  # 162 of the 512 rows are copies
-        sizes.clear()
-        render(PRESET_SYSTEMS["fig3a"], (-1.6, 1.6, -1.2, 1.6), (192, 192), 12, threads=threads)
-        assert sum(sizes) == 192 * 192
+        # Of fig3a's 512 rows 162 are copies; the kernel sees only the
+        # annulus centres of the other 350, 17 110 of their 179 200.
+        calls = kernel_inputs(monkeypatch)
+        sysm = PRESET_SYSTEMS["fig3a"]
+        grid = render(sysm, DEFAULT_WINDOW, (512, 512), 12, threads=threads)
+        assert assert_kernel_gets_the_annulus(sysm, grid, calls, threads) == (350, 17_110)
+        calls.clear()
+        grid = render(sysm, (-1.6, 1.6, -1.2, 1.6), (192, 192), 12, threads=threads)
+        assert assert_kernel_gets_the_annulus(sysm, grid, calls, threads) == (192, 4266)
 
-    # Rows of (-1.5, 1.5, -1.5, 1.5): [0]; [0.75, -0.75]; [1, 0, -1].
+    # Rows of (-1.5, 1.5, -1.5, 1.5): [0]; [0.75, -0.75]; [1, 0, -1].  The
+    # unit disk's chords decide every centre, and so do fig3a's on the rows
+    # +-0.75, which pass above its disk |lam - 0.3| <= 0.7; its other rows
+    # keep a few centres for the kernel.
     @pytest.mark.parametrize("height, computed", [(1, 1), (2, 1), (3, 2)])
     def test_few_rows(self, monkeypatch, height, computed):
-        sizes = self.kernel_sizes(monkeypatch)
-        for threads in (0, 1, 2, 3, 7):
-            sizes.clear()
-            grid = render(SYS_DISK, (-1.5, 1.5, -1.5, 1.5), (40, height), 200, threads=threads)
-            assert sum(sizes) == 40 * computed
-            assert len(sizes) == max(1, min(threads, computed))  # no band is empty
-            lam = grid.center_at(*np.indices(grid.escaped.shape)).reshape(-1)
-            esc, stage = untrapped_band(SYS_DISK, lam, 200)
-            assert 0 < esc.sum() < esc.size
-            assert np.array_equal(grid.escaped.reshape(-1), esc)
-            assert np.array_equal(grid.stage.reshape(-1), stage)
+        calls = kernel_inputs(monkeypatch)
+        for sysm in (SYS_DISK, PRESET_SYSTEMS["fig3a"]):
+            for threads in (0, 1, 2, 3, 7):
+                calls.clear()
+                grid = render(sysm, (-1.5, 1.5, -1.5, 1.5), (40, height), 200, threads=threads)
+                rows, run = assert_kernel_gets_the_annulus(sysm, grid, calls, threads)
+                above = sysm is not SYS_DISK and height == 2
+                assert rows == computed and (run > 0) == (sysm is not SYS_DISK and not above)
+                assert grid.escaped.any() and grid.escaped.all() == above
+
+
+def kernel_inputs(monkeypatch):
+    """Record a copy of the parameters of every ``_band_kernel`` call."""
+    calls = []
+    kernel = julia._band_kernel
+
+    def recording(sysm, lam_flat, *args):
+        calls.append(lam_flat.copy())
+        return kernel(sysm, lam_flat, *args)
+
+    monkeypatch.setattr(julia, "_band_kernel", recording)
+    return calls
+
+
+def assert_kernel_gets_the_annulus(sysm, grid, calls, threads):
+    """Check one ``render`` against the kernel calls it made (``calls``) and
+    the untrapped oracle; returns (computed rows, annulus centres).
+
+    The kernel gets exactly the centres of the computed rows between the
+    chords of ``_row_chords``, in bands of whole rows balanced by their
+    annulus centres, none empty.  Every other centre of a computed row is
+    certified by the test that the chord stands for: np.abs(lam - c_1) > R_1
+    with the grid at (escaped, 1), or np.abs(lam) <= tau_0 with the grid at
+    (bounded, depth).  The grid equals the untrapped kernel's.
+    """
+    height, width = grid.escaped.shape
+    lam = grid.center_at(*np.indices((height, width)))
+    im = lam[:, 0].imag
+    rows = [j for j in range(height) if not (im[j] and (im[:j] == -im[j]).any())]
+    c1 = sysm.stages(1)[2][1]
+    radius = julia._escape_radius(sysm, 1.0)
+    tau0 = _trap_radii(sysm, grid.depth, 1.0)[0]
+    lo, hi, tlo, thi = julia._row_chords(lam[0].real, im[rows], c1, radius, tau0)
+    cols = np.arange(width)
+    ring = np.zeros((height, width), dtype=bool)
+    ring[rows] = (((lo[:, None] <= cols) & (cols < tlo[:, None]))
+                  | ((thi[:, None] <= cols) & (cols < hi[:, None])))
+    got = np.concatenate(calls) if calls else np.empty(0, dtype=complex)
+    assert np.array_equal(np.sort_complex(got), np.sort_complex(lam[ring]))
+    per_row = ring.sum(axis=1)
+    bands = max(1, min(threads, int((per_row > 0).sum()))) if ring.any() else 0
+    assert len(calls) == bands and all(call.size for call in calls)
+    assert sum(len(set(call.imag.tolist())) for call in calls) == (per_row > 0).sum()
+    if calls:
+        assert max(call.size for call in calls) <= ring.sum() / bands + per_row.max()
+
+    decided = np.zeros((height, width), dtype=bool)
+    decided[rows] = ~ring[rows]
+    out = decided & (np.abs(lam - c1) > radius)
+    inside = decided & (np.abs(lam) <= tau0)
+    assert not (out & inside).any() and np.array_equal(out | inside, decided)
+    assert grid.escaped[out].all() and (grid.stage[out] == 1).all()
+    assert not grid.escaped[inside].any() and (grid.stage[inside] == grid.depth).all()
+
+    assert_grid_matches_oracle(sysm, grid)
+    return len(rows), int(ring.sum())
+
+
+def assert_grid_matches_oracle(sysm, grid):
+    lam = grid.center_at(*np.indices(grid.escaped.shape)).reshape(-1)
+    esc, stage = untrapped_band(sysm, lam, grid.depth)
+    assert np.array_equal(grid.escaped.reshape(-1), esc)
+    assert np.array_equal(grid.stage.reshape(-1), stage)
+
+
+ETA = 2.0 ** -990
+
+
+def chord_windows(sysm, depth):
+    """Windows whose centres lie within 3 ulp of the R_1 circle about c_1 or
+    of the tau_0 circle about 0, of half-width 1e-11 to 1e-7: at the top and
+    bottom, where the squares of the chords cancel, near the top, at the
+    sides and in between.  Near the top a window is flattened to the slope
+    of the circle, so that the chord ends cross its rows."""
+    circles = [(sysm.stages(1)[2][1], julia._escape_radius(sysm, 1.0))]
+    tau0 = _trap_radii(sysm, depth, 1.0)[0]
+    if tau0 > 0.0:
+        circles.append((0.0, tau0))
+    windows = []
+    for centre, radius in circles:
+        for theta, aspect in ((math.pi / 2, 1.0), (-math.pi / 2, 1.0), (math.pi / 2 + 1e-3, 1e-3),
+                              (-math.pi / 2 + 1e-2, 1e-2), (0.9, 0.8), (math.pi, 1.0), (0.0, 1.0)):
+            for k in (-3, 0, 3):
+                r = radius + k * math.ulp(radius)
+                x, y = centre + r * math.cos(theta), r * math.sin(theta)
+                windows.extend((x - w, x + w, y - w * aspect, y + w * aspect)
+                               for w in (1e-11, 1e-9, 1e-7))
+    return windows
+
+
+# fig3a and the unit disk have tau_0 > 0 at depth 200, fig8a at depth 1 only
+CHORD_CASES = [("fig3a", 200), ("unit", 200), ("fig8a", 1), ("fig8a", 200), ("fig10a", 12)]
+
+
+class TestRowChords:
+    """``render`` decides the centres outside the R_1 chord and inside the
+    tau_0 chord of each row without the kernel (``julia._row_chords``)."""
+
+    @staticmethod
+    def chords(sysm, depth, window, resolution=(48, 48)):
+        grid = julia.MembershipGrid(window, *resolution, depth, None, None)
+        lam = grid.center_at(*np.indices(resolution[::-1]))
+        c1 = sysm.stages(1)[2][1]
+        radius = julia._escape_radius(sysm, 1.0)
+        tau0 = _trap_radii(sysm, depth, 1.0)[0]
+        lo, hi, tlo, thi = julia._row_chords(lam[0].real, lam[:, 0].imag, c1, radius, tau0)
+        assert ((0 <= lo) & (lo <= tlo) & (tlo <= thi) & (thi <= hi) & (hi <= resolution[0])).all()
+        cols = np.arange(resolution[0])
+        out = (cols < lo[:, None]) | (cols >= hi[:, None])
+        inside = (tlo[:, None] <= cols) & (cols < thi[:, None])
+        return lam, c1, radius, tau0, (lo, hi, tlo, thi), out, inside
+
+    @pytest.mark.parametrize("name, depth", CHORD_CASES)
+    def test_chords_certify_their_centres(self, name, depth):
+        # What the kernel tests: np.abs(lam - c_1) > R_1 outside the outer
+        # chord, np.abs(lam) <= tau_0 inside the inner one.
+        sysm = SYS_DISK if name == "unit" else PRESET_SYSTEMS[name]
+        counts = np.zeros(3, dtype=int)
+        for window in chord_windows(sysm, depth):
+            lam, c1, radius, tau0, _, out, inside = self.chords(sysm, depth, window)
+            assert (np.abs(lam[out] - c1) > radius).all()
+            assert (np.abs(lam[inside]) <= tau0).all()
+            counts += out.sum(), inside.sum(), (~out & ~inside).sum()
+        assert counts[0] > 0 and counts[2] > 0 and (counts[1] > 0) == (tau0 > 0.0)
+
+    @pytest.mark.parametrize("name, depth", CHORD_CASES)
+    def test_chords_keep_the_bounds_of_their_proof(self, name, depth):
+        # In exact arithmetic, at the last certified column of each side of
+        # each chord: |h| > S >= (R_1 + eta) / (1 - 4u) outside and
+        # |lam| <= t <= (tau_0 - eta) / (1 + 4u) inside, with S and t the
+        # doubles of the docstring.  The margins of np.abs sit on top.
+        sysm = SYS_DISK if name == "unit" else PRESET_SYSTEMS[name]
+        u = Fraction(U)
+        for window in chord_windows(sysm, depth):
+            lam, c1, radius, tau0, (lo, hi, tlo, thi), _, _ = self.chords(sysm, depth, window)
+            s = Fraction((radius + ETA) * (1.0 + 8 * U))
+            assert s * (1 - 4 * u) >= Fraction(radius) + Fraction(ETA)
+            t = Fraction((tau0 - ETA) * (1.0 - 8 * U))
+            if tau0 > 0.0:
+                assert t * (1 + 4 * u) <= Fraction(tau0) - Fraction(ETA)
+            h = (lam[0].real - c1).tolist()
+            for row, y in enumerate(lam[:, 0].imag.tolist()):
+                y2 = Fraction(y) ** 2
+                for col in (lo[row] - 1, hi[row]):
+                    if 0 <= col < len(h):
+                        assert Fraction(h[col]) ** 2 + y2 > s * s
+                for col in (tlo[row], thi[row] - 1):
+                    if thi[row] > tlo[row]:
+                        assert Fraction(lam[0, col].real) ** 2 + y2 <= t * t
+
+    @pytest.mark.parametrize("name, depth", CHORD_CASES)
+    def test_zoomed_renders_match_untrapped_kernel(self, monkeypatch, name, depth):
+        sysm = SYS_DISK if name == "unit" else PRESET_SYSTEMS[name]
+        calls = kernel_inputs(monkeypatch)
+        mixed = named = 0
+        for j, window in enumerate(chord_windows(sysm, depth)):
+            threads = (0, 1, 2, 3, 7)[j % 5]
+            calls.clear()
+            grid = render(sysm, window, (24, 16), depth, threads=threads)
+            lam = grid.center_at(*np.indices((16, 24)))
+            if len(set(lam[0].real.tolist())) == 24 and len(set(lam[:, 0].imag.tolist())) == 16:
+                assert_kernel_gets_the_annulus(sysm, grid, calls, threads)
+                named += 1
+            else:  # centres less than an ulp apart: kernel inputs do not name their rows
+                assert_grid_matches_oracle(sysm, grid)
+            mixed += 0 < grid.escaped.sum() < grid.escaped.size
+        assert named > 0 and mixed > 0
+
+    # Rows far above the disks, some so far that y**2 overflows to inf
+    @pytest.mark.parametrize("window", [(-1.0, 1.0, 1e200, 1e201), (-1e300, 1e300, -1e300, 1e300),
+                                        (1e307, 1.7e308, -1.0, 1.0), (2.0, 3.0, 2.0, 3.0)])
+    def test_far_windows_need_no_kernel(self, monkeypatch, window):
+        calls = kernel_inputs(monkeypatch)
+        for threads in (0, 2, 7):
+            grid = render(PRESET_SYSTEMS["fig3a"], window, (16, 8), 50, threads=threads)
+            assert grid.escaped.all() and (grid.stage == 1).all() and calls == []
+            assert_grid_matches_oracle(PRESET_SYSTEMS["fig3a"], grid)
+
+    def test_bands_fill_one_grid_under_fast_thread_switching(self):
+        # Seven bands write disjoint centres of one grid; switching threads
+        # every microsecond must lose none of their results.
+        sysm = PRESET_SYSTEMS["fig6a"]
+        want = render(sysm, DEFAULT_WINDOW, (160, 96), 60, threads=1)
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-6)
+            for _ in range(5):
+                grid = render(sysm, DEFAULT_WINDOW, (160, 96), 60, threads=7)
+                assert np.array_equal(grid.escaped, want.escaped)
+                assert np.array_equal(grid.stage, want.stage)
+        finally:
+            sys.setswitchinterval(interval)

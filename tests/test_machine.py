@@ -453,6 +453,33 @@ class TestRenorm:
         monkeypatch.setattr(machine, "build_matrix", perturbed)
         assert renorm_check(r, n2, base, probs).max_diff() >= 0.1
 
+    @staticmethod
+    def nan_coarse_matrix(monkeypatch, n2):
+        """Make one interior entry of the coarse (n2-state) matrix NaN."""
+        build = machine.build_matrix
+
+        def with_nan(n_states, base, probs):
+            mat = build(n_states, base, probs)
+            if n_states != n2:
+                return mat
+            bad = mat.data.copy()
+            bad[mat.indptr[n2 // 2]] = math.nan
+            return dataclasses.replace(mat, data=bad)
+
+        monkeypatch.setattr(machine, "build_matrix", with_nan)
+
+    def test_nan_in_coarse_matrix_is_reported(self, monkeypatch):
+        # Python's max(x, nan) is x: such a NaN once left max_diff() at 0.0.
+        self.nan_coarse_matrix(monkeypatch, 16)
+        rep = renorm_check(1, 16, B2, P_HALF)
+        assert math.isnan(rep.part1_max_diff) and math.isnan(rep.part2_max_diff)
+        assert math.isnan(rep.max_diff())
+
+    @pytest.mark.parametrize("parts", [(math.nan, 0.0), (0.0, math.nan), (1.0, math.nan)])
+    def test_max_diff_keeps_a_nan_part(self, parts):
+        assert math.isnan(machine.RenormReport(1, 4, 2, 0, *parts).max_diff())
+        assert machine.RenormReport(1, 4, 2, 0, 0.0, 0.25).max_diff() == 0.25
+
     def test_random_config_sweep(self):
         rng = np.random.default_rng(77)
         for _ in range(20):

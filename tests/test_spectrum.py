@@ -764,6 +764,55 @@ class TestSampleBounded:
             assert max(vals) <= 1.0 + 1e-9
 
 
+SYS_FIG10A = FiberedSystem(parse_base_spec(PRESETS["fig10a"][0]),
+                           parse_probs_spec(PRESETS["fig10a"][1]))
+
+
+def nan_at_call(monkeypatch, call):
+    """Make the ``call``-th scalar ``spectrum._stage`` return NaN: one
+    forward step of the residual check of one backward chain."""
+    calls = []
+    real = spectrum._stage
+
+    def stage(z, d, p, c):
+        if not isinstance(z, np.ndarray):
+            calls.append(z)
+            if len(calls) == call:
+                return complex(math.nan, 0.0)
+        return real(z, d, p, c)
+
+    monkeypatch.setattr(spectrum, "_stage", stage)
+    return calls
+
+
+class TestNanChainStep:
+    """A chain with a NaN step is not certified: Python's max(x, nan) is x,
+    so such a chain once had the residual of its other steps."""
+
+    def test_chain_residual_is_nan(self, monkeypatch):
+        honest = _boundary_chain(SYS_FIG10A, 60, np.random.default_rng(5))
+        assert honest[2] < 1e-9
+        nan_at_call(monkeypatch, 7)
+        lam, vals, resid = _boundary_chain(SYS_FIG10A, 60, np.random.default_rng(5))
+        assert math.isnan(resid) and (lam, vals) == honest[:2]
+
+    def test_sample_bounded_rejects_the_chain(self, monkeypatch):
+        # fig10a's set is dust, so rejection keeps nothing and chains of 60
+        # steps fill the sample; the NaN falls in the second chain.
+        honest = sample_bounded(SYS_FIG10A, 3, depth=60, seed=2)
+        calls = nan_at_call(monkeypatch, 70)
+        got = sample_bounded(SYS_FIG10A, 3, depth=60, seed=2)
+        assert len(calls) == 4 * 60
+        assert got[:2] == [honest[0], honest[2]] and got[2] not in honest
+
+    def test_transient_check_fails(self, monkeypatch):
+        grid = render(SYS_GEO, (-1.6, 1.6, -1.6, 1.6), (96, 96), 200)
+        assert transient_limit_check(SYS_GEO, grid, 5, 60, seed=2).ok
+        nan_at_call(monkeypatch, 130)
+        rep = transient_limit_check(SYS_GEO, grid, 5, 60, seed=2)
+        assert math.isnan(rep.chain_step_residual) and not rep.boundary_ok and not rep.ok
+
+
 class TestClassifySpectrum:
     def test_recurrent_claims_full_set(self):
         rep = classify_spectrum(SYS_37, 3, resolution=128)
