@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys as _sys
 import traceback
 
@@ -168,7 +167,7 @@ def cmd_render(args) -> int:
     sysm, base_spec, probs_spec = _system(args)
     window = _parse_window(args.window)
     resolution = _parse_resolution(args.res)
-    grid = julia.render(sysm, window, resolution, args.depth, threads=args.threads)
+    grid = julia.render(sysm, window, resolution, args.depth)
     prefix = args.out
     julia.write_pgm(grid, prefix + ".pgm")
     julia.write_pbm(grid, prefix + ".pbm")
@@ -508,7 +507,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", parents=[config], help="escape-time membership grid")
     p.add_argument("--out", required=True, help="output prefix (.pgm, .pbm, .meta)")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted and ignored, so that older command lines still "
+                        "run; the render runs on one thread")
     p.add_argument("--window", default=",".join(str(x) for x in DEFAULT_WINDOW))
     p.add_argument("--res", default="512x512")
     p.add_argument("--depth", type=_int_at_least(1), default=DEFAULT_DEPTH)

@@ -23,7 +23,6 @@ runs through the kernel.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +43,9 @@ class FiberedSystem:
     once and index it.  It is built once per system; a deeper request
     rebuilds it whole, at least twice as deep, and swaps it in with one
     attribute store.  It is never extended in place, so threads sharing a
-    system (the bands of ``render``) each read a complete table, whichever
-    build they see.  ``_trap_radii`` keeps its radii per depth in ``_radii``
-    the same way: computed once, then read.
+    system each read a complete table, whichever build they see.
+    ``_trap_radii`` keeps its radii per depth in ``_radii`` the same way:
+    computed once, then read.
     """
 
     base: BaseSeq
@@ -182,9 +181,9 @@ def _jet(z, d: int, p: float, c: float):
 # and numpy's complex arrays do not always give its bits: the SIMD multiply may
 # fuse a multiply-add, and ``np.abs`` is not libm ``hypot``.  These functions
 # compute each element with the operations, in the order and with the
-# roundings, of Python 3.11's scalar arithmetic (``stage_values``,
-# ``_pow_int``, ``abs``), so every element has the bits of its own scalar
-# computation; the tests compare the two.
+# roundings, of Python 3.11's scalar arithmetic (``_rescale``, ``_pow_int``,
+# ``abs``), so every element has the bits of its own scalar computation; the
+# tests compare the two with their scalar oracle ``stage_values``.
 
 
 def _c_mul(a, b, c, d):
@@ -266,18 +265,6 @@ def orbit(sys: FiberedSystem, lam: complex, r_max: int, keep_trace: bool = False
     return OrbitResult(False, r_max, v, tuple(trace) if trace is not None else None)
 
 
-def stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex]:
-    """Normalized stage values for stages 1..r_max."""
-    d, p, c = sys.stages(r_max)
-    out = []
-    v = complex(lam)
-    for r in range(1, r_max + 1):
-        i = _rescale(v, p[r], c[r])
-        out.append(i)
-        v = _pow_int(i, d[r])
-    return out
-
-
 def eigvec(sys: FiberedSystem, lam: complex, n: int) -> np.ndarray:
     """Candidate eigenvector: entry m is the product of stage values raised to
     the digits of m.  Zero stage values contribute 1 at digit 0."""
@@ -301,7 +288,8 @@ def witnesses(sys: FiberedSystem, lams, t: int, n: int) -> np.ndarray:
     (otherwise the cut block itself is returned).  The stage values and the power tables
     (entry e = entry e-1 times v_r, as a Python complex computes it) are
     computed for all lam at once by ``_c_rescale``, ``_c_pow`` and
-    ``_c_mul``, with the bits of ``stage_values`` and of the scalar tables;
+    ``_c_mul``, with the bits of the scalar stage values (the tests' oracle
+    ``stage_values``) and of the scalar tables;
     each block is one broadcast multiply over all rows, and every row gets
     the bits that lam alone would.
     """
@@ -332,9 +320,11 @@ def witnesses(sys: FiberedSystem, lams, t: int, n: int) -> np.ndarray:
 
 
 def _bounded_stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[complex] | None:
-    """``stage_values`` through ``r_max``, or None as soon as a composed value
+    """Normalized stage values i_r = (v_{r-1} - c_r) / p_r for r = 1..r_max,
+    with v_0 = lam and v_r = i_r ** d_r, or None as soon as a composed value
     is not <= 1: ``orbit``'s escape test and the stage values in one pass,
-    with the same arithmetic as each."""
+    with the same arithmetic as each.  The tests compare it with ``orbit``
+    and with their scalar oracle ``stage_values``."""
     d, p, c = sys.stages(r_max)
     out = []
     v = complex(lam)
@@ -347,20 +337,15 @@ def _bounded_stage_values(sys: FiberedSystem, lam: complex, r_max: int) -> list[
     return out
 
 
-def factorization_check(sys: FiberedSystem, lam: complex, r: int, k: int) -> float:
-    """Residual of the telescoped stage-value difference identity.
+def _factorization_residual(sys: FiberedSystem, vals: list[complex], r: int, k: int) -> float:
+    """Residual of the telescoped stage-value difference identity, from the
+    stage values ``vals`` = i_1..i_r and 1 <= k <= r - 1.
 
     The deviation of the stage-r value from 1 factors through the stage-(r-k)
     deviation times a product of digit-sum terms over probabilities; both
-    sides are evaluated directly and the absolute difference returned.
+    sides are evaluated directly and the absolute difference returned.  The
+    tests check it against an oracle that computes both sides in one body.
     """
-    if not 1 <= k <= r - 1:
-        raise ValueError("need 1 <= k <= r-1")
-    return _factorization_residual(sys, stage_values(sys, lam, r), r, k)
-
-
-def _factorization_residual(sys: FiberedSystem, vals: list[complex], r: int, k: int) -> float:
-    """``factorization_check`` from the stage values ``vals`` = i_1..i_r."""
     d, p, _ = sys.stages(r)
     lhs = vals[r - 1] - 1.0
     factor = complex(1.0)
@@ -734,14 +719,10 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     are paired by value, not by bits; a row on the real axis (+0 or -0) is
     its own mirror and is computed.
 
-    The computed rows with annulus centres are split into at most
-    ``threads`` bands (one when ``threads < 1``) of whole rows, balanced by
-    their annulus centres, none empty; each band runs through the escape
-    kernel on its own thread, and its results are scattered back by flat
-    index.  The grid is the same for any thread count.  The trapping radii
-    (from the system's cache, filled here before the bands start) and the
-    escape radius are read once per call and shared by the bands; each band
-    builds only its own parameters.
+    The annulus centres of all computed rows go through the escape kernel
+    in one call, on the calling thread, and its results are scattered back
+    by flat index.  ``threads`` is accepted and ignored: ``perfbench`` still
+    passes it.
     """
     re_min, re_max, im_min, im_max = (float(x) for x in window)
     width, height = (int(x) for x in resolution)
@@ -788,28 +769,13 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     annulus = _spans(np.column_stack([start + lo, start + thi]).reshape(-1),
                      np.column_stack([start + tlo, start + hi]).reshape(-1))
 
-    def band(flat):
-        # Each band builds only its own parameters: no full parameter grid is held.
-        row, col = np.divmod(flat, width)
-        lam = np.empty(flat.size, dtype=complex)
+    if annulus.size:
+        # Only the annulus parameters are built: no full parameter grid is held.
+        row, col = np.divmod(annulus, width)
+        lam = np.empty(annulus.size, dtype=complex)
         lam.real = re[col]
         lam.imag = im[row]
-        escaped[flat], stage[flat] = _band_kernel(sys, lam, depth, 1.0, tau, radius)
-
-    # Bands of whole rows: band k ends at the first row end that reaches k / count
-    # of the annulus, and each band keeps at least one row with annulus centres.
-    per_row = (tlo - lo) + (hi - thi)
-    ends = np.cumsum(per_row)[per_row > 0]
-    count = max(1, min(threads, ends.size))
-    cuts, taken = [], 0
-    for k in range(1, count):
-        taken = min(max(int(np.searchsorted(ends, ends[-1] * k / count)) + 1, taken + 1),
-                    ends.size - count + k)
-        cuts.append(ends[taken - 1])
-    if annulus.size:
-        bands = np.split(annulus, cuts)
-        with ThreadPoolExecutor(max_workers=len(bands)) as pool:
-            list(pool.map(band, bands))  # reading the results re-raises a band's error
+        escaped[annulus], stage[annulus] = _band_kernel(sys, lam, depth, 1.0, tau, radius)
     grid.escaped[mirrors] = grid.escaped[sources]
     grid.stage[mirrors] = grid.stage[sources]
     return grid

@@ -15,7 +15,6 @@ from stochadd.cli import PRESETS, main
 from stochadd.julia import (
     FiberedSystem,
     band_depth,
-    factorization_check,
     orbit,
     render,
     stage_map,
@@ -35,6 +34,8 @@ from stochadd.spectrum import (
     sample_bounded,
     verify_eigenpairs,
 )
+
+from test_julia import factorization_check
 
 
 @contextlib.contextmanager

@@ -28,6 +28,8 @@ from stochadd.cli import (
 )
 from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
 
+from test_julia import factorization_check
+
 
 # 41 stages of probability 1e-8: stage maps that scale by 1e8.
 TINY_P = "plist:" + ",".join(["1e-8"] * 41) + ";tail=1"
@@ -151,8 +153,10 @@ class TestRender:
                  "bounded_pixels=20108 escaped_pixels=45428\n"),
     }
 
-    @pytest.mark.parametrize("threads", [0, 1, 2, 3, 7])
-    @pytest.mark.parametrize("case", sorted(CHORDS_ONLY))
+    # --threads is accepted and ignored; the unit case passes the golden
+    # renders' --threads 2.
+    @pytest.mark.parametrize("case, threads", [("off", 1), ("tau0", 1), ("unit", 2)],
+                             ids=["off-1", "tau0-1", "unit-2"])
     def test_chords_alone_under_warnings_as_errors(self, capsys, monkeypatch, tmp_path, case,
                                                    threads):
         options, stdout = self.CHORDS_ONLY[case]
@@ -429,7 +433,7 @@ def reference_factorization(sysm, seed):
         if julia.orbit(sysm, lam, r).escaped:
             continue
         k = int(rng.integers(1, r))
-        worst = max(worst, julia.factorization_check(sysm, lam, r, k))
+        worst = max(worst, factorization_check(sysm, lam, r, k))
         kept += 1
     return worst < 1e-9, f"cases={kept} worst_resid={worst:.17g}"
 
@@ -654,11 +658,14 @@ def test_runs_clean_with_warnings_as_errors(argv):
 
 def test_import_leaves_scipy_spatial_unloaded():
     # Only boundary_density needs scipy.spatial, and it imports it itself.
+    # No module starts threads, so neither concurrent.futures nor the logging
+    # it imports is loaded.
     src = Path(stochadd.__file__).resolve().parents[1]
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     code = ("import sys, stochadd.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.spatial')))")
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.spatial', 'concurrent', 'logging'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True, timeout=60)
     assert proc.stdout == "[]\n"

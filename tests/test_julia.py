@@ -1,6 +1,5 @@
 import cmath
 import math
-import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -21,11 +20,9 @@ from stochadd.julia import (
     band_depth,
     boundary_pixels,
     eigvec,
-    factorization_check,
     orbit,
     render,
     stage_map,
-    stage_values,
     witness,
     witnesses,
     write_metadata,
@@ -173,6 +170,20 @@ class TestOrbit:
         assert (res.escaped, res.stage) == (True, 1)
         escaped, stage = _render_band(sysm, np.array([lam]), 3)
         assert (escaped.tolist(), stage.tolist()) == ([True], [1])
+
+
+def stage_values(sysm, lam, r_max):
+    """Normalized stage values i_1..i_r_max of lam in Python complex scalars:
+    the oracle of ``julia._bounded_stage_values``, of the array kernel
+    ``julia._c_*`` and of ``julia.witnesses``."""
+    d, p, c = sysm.stages(r_max)
+    out = []
+    v = complex(lam)
+    for r in range(1, r_max + 1):
+        i = julia._rescale(v, p[r], c[r])
+        out.append(i)
+        v = julia._pow_int(i, d[r])
+    return out
 
 
 class TestStageValues:
@@ -493,6 +504,13 @@ def factorization_oracle(sysm, lam, r, k):
     return abs(lhs - rhs)
 
 
+def factorization_check(sysm, lam, r, k):
+    """``julia._factorization_residual`` of the stage values of lam."""
+    if not 1 <= k <= r - 1:
+        raise ValueError("need 1 <= k <= r-1")
+    return julia._factorization_residual(sysm, stage_values(sysm, lam, r), r, k)
+
+
 def residual_or_error(check, *args):
     """A residual's bits, or the error it raised: escaping parameters may overflow."""
     try:
@@ -558,12 +576,18 @@ class TestRender:
             assert res.escaped == grid.escaped[r, c]
             assert res.stage == grid.stage[r, c]
 
-    def test_thread_count_does_not_change_output(self):
-        a = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (96, 64), 60, threads=1)
-        b = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (96, 64), 60, threads=4)
-        assert (a.escaped == b.escaped).all() and (a.stage == b.stage).all()
-        c = render(SYS_37, (-1.6, 1.6, -1.6, 1.6), (96, 64), 60, threads=0)
-        assert (a.escaped == c.escaped).all() and (a.stage == c.stage).all()
+    def test_thread_count_does_not_change_output(self, monkeypatch):
+        # ``threads`` is accepted and ignored: render starts no thread.
+        def start(thread):
+            raise AssertionError("render started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        sysm = PRESET_SYSTEMS["fig6a"]
+        a = render(sysm, DEFAULT_WINDOW, (96, 64), 60, threads=1)
+        assert 0 < a.escaped.sum() < a.escaped.size
+        for threads in (0, 7):
+            b = render(sysm, DEFAULT_WINDOW, (96, 64), 60, threads=threads)
+            assert np.array_equal(a.escaped, b.escaped) and np.array_equal(a.stage, b.stage)
 
     def test_conjugacy_with_classical_quadratic(self):
         # every stage is the same quadratic; conjugating by
@@ -820,14 +844,13 @@ class TestTrapRadii:
         fresh = FiberedSystem(sysm.base, sysm.probs)
         lam = np.random.default_rng(0).uniform(-1, 1, (50, 2)).view(complex)[:, 0]
         for _ in range(2):
-            render(sysm, DEFAULT_WINDOW, (24, 24), 200, threads=2)
+            render(sysm, DEFAULT_WINDOW, (24, 24), 200)
             _render_band(sysm, lam, 200)
             _render_band(sysm, lam, 200, bailout=1e6)
             _render_band(sysm, lam, 12)
-        # Every band and call of one depth read the one list the first call
-        # computed; render fills the cache before its bands start.
+        # Every call of one depth reads the one list the first call computed.
         assert sorted(sysm._radii) == [12, 200]
-        assert all(tau is sysm._radii[len(tau) - 1] for tau in radii) and len(radii) == 10
+        assert all(tau is sysm._radii[len(tau) - 1] for tau in radii) and len(radii) == 8
         assert _trap_radii(sysm, 200, 7.0) is sysm._radii[200]
         assert sysm._radii[200] == _trap_radii(fresh, 200, 1.0)
         assert _trap_radii(sysm, 12, 0.5) == [-1.0] * 13 and sorted(sysm._radii) == [12, 200]
@@ -945,7 +968,7 @@ class TestTrappedKernel:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_render_matches_untrapped_kernel(self, name):
         sysm = PRESET_SYSTEMS[name]
-        grid = render(sysm, DEFAULT_WINDOW, (96, 96), 200, threads=2)
+        grid = render(sysm, DEFAULT_WINDOW, (96, 96), 200)
         lam = grid.center_at(*np.indices(grid.escaped.shape)).reshape(-1)
         esc, stage = untrapped_band(sysm, lam, 200)
         assert np.array_equal(grid.escaped.reshape(-1), esc)
@@ -1090,13 +1113,12 @@ class TestBlockedKernel:
         ("fig10c", DEFAULT_WINDOW, (300, 130)),
         ("fig3a", (-1.6, 1.6, -0.1, 0.1), (40_000, 2)),
     ])
-    @pytest.mark.parametrize("threads", [0, 1, 2, 3, 7])
-    def test_render_across_blocks(self, name, window, resolution, threads):
+    def test_render_across_blocks(self, name, window, resolution):
         width, height = resolution
         assert width * height > 2 * julia._BLOCK and (width * height) % julia._BLOCK
         assert julia._BLOCK % width or width > julia._BLOCK
         sysm = PRESET_SYSTEMS[name]
-        grid = render(sysm, window, resolution, 200, threads=threads)
+        grid = render(sysm, window, resolution, 200)
         lam = grid.center_at(*np.indices(grid.escaped.shape)).reshape(-1)
         esc, stage = untrapped_band(sysm, lam, 200)
         assert 0 < esc.sum() < esc.size
@@ -1213,14 +1235,7 @@ class TestMirrorRows:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_render_matches_untrapped_kernel(self, name, window, resolution):
         sysm = PRESET_SYSTEMS[name]
-        want = None
-        for threads in (0, 1, 2, 3, 7):
-            grid = render(sysm, window, resolution, 200, threads=threads)
-            if want is None:
-                lam = grid.center_at(*np.indices(grid.escaped.shape)).reshape(-1)
-                want = untrapped_band(sysm, lam, 200)
-            assert np.array_equal(grid.escaped.reshape(-1), want[0])
-            assert np.array_equal(grid.stage.reshape(-1), want[1])
+        assert_grid_matches_oracle(sysm, render(sysm, window, resolution, 200))
 
     def test_rows_one_ulp_from_mirrors_differ(self):
         grid = render(PRESET_SYSTEMS["fig3a"], ONE_ULP_WINDOW, (64, 2), 200)
@@ -1228,17 +1243,16 @@ class TestMirrorRows:
         assert abs(im[0] + im[1]) == math.ulp(im[0])
         assert (grid.stage[0] != grid.stage[1]).any()
 
-    @pytest.mark.parametrize("threads", [1, 2])
-    def test_kernel_runs_computed_rows_only(self, monkeypatch, threads):
+    def test_kernel_runs_computed_rows_only(self, monkeypatch):
         # Of fig3a's 512 rows 162 are copies; the kernel sees only the
         # annulus centres of the other 350, 17 110 of their 179 200.
         calls = kernel_inputs(monkeypatch)
         sysm = PRESET_SYSTEMS["fig3a"]
-        grid = render(sysm, DEFAULT_WINDOW, (512, 512), 12, threads=threads)
-        assert assert_kernel_gets_the_annulus(sysm, grid, calls, threads) == (350, 17_110)
+        grid = render(sysm, DEFAULT_WINDOW, (512, 512), 12)
+        assert assert_kernel_gets_the_annulus(sysm, grid, calls) == (350, 17_110)
         calls.clear()
-        grid = render(sysm, (-1.6, 1.6, -1.2, 1.6), (192, 192), 12, threads=threads)
-        assert assert_kernel_gets_the_annulus(sysm, grid, calls, threads) == (192, 4266)
+        grid = render(sysm, (-1.6, 1.6, -1.2, 1.6), (192, 192), 12)
+        assert assert_kernel_gets_the_annulus(sysm, grid, calls) == (192, 4266)
 
     # Rows of (-1.5, 1.5, -1.5, 1.5): [0]; [0.75, -0.75]; [1, 0, -1].  The
     # unit disk's chords decide every centre, and so do fig3a's on the rows
@@ -1248,13 +1262,12 @@ class TestMirrorRows:
     def test_few_rows(self, monkeypatch, height, computed):
         calls = kernel_inputs(monkeypatch)
         for sysm in (SYS_DISK, PRESET_SYSTEMS["fig3a"]):
-            for threads in (0, 1, 2, 3, 7):
-                calls.clear()
-                grid = render(sysm, (-1.5, 1.5, -1.5, 1.5), (40, height), 200, threads=threads)
-                rows, run = assert_kernel_gets_the_annulus(sysm, grid, calls, threads)
-                above = sysm is not SYS_DISK and height == 2
-                assert rows == computed and (run > 0) == (sysm is not SYS_DISK and not above)
-                assert grid.escaped.any() and grid.escaped.all() == above
+            calls.clear()
+            grid = render(sysm, (-1.5, 1.5, -1.5, 1.5), (40, height), 200)
+            rows, run = assert_kernel_gets_the_annulus(sysm, grid, calls)
+            above = sysm is not SYS_DISK and height == 2
+            assert rows == computed and (run > 0) == (sysm is not SYS_DISK and not above)
+            assert grid.escaped.any() and grid.escaped.all() == above
 
 
 def kernel_inputs(monkeypatch):
@@ -1270,16 +1283,16 @@ def kernel_inputs(monkeypatch):
     return calls
 
 
-def assert_kernel_gets_the_annulus(sysm, grid, calls, threads):
+def assert_kernel_gets_the_annulus(sysm, grid, calls):
     """Check one ``render`` against the kernel calls it made (``calls``) and
     the untrapped oracle; returns (computed rows, annulus centres).
 
     The kernel gets exactly the centres of the computed rows between the
-    chords of ``_row_chords``, in bands of whole rows balanced by their
-    annulus centres, none empty.  Every other centre of a computed row is
-    certified by the test that the chord stands for: np.abs(lam - c_1) > R_1
-    with the grid at (escaped, 1), or np.abs(lam) <= tau_0 with the grid at
-    (bounded, depth).  The grid equals the untrapped kernel's.
+    chords of ``_row_chords``, in one call, or in none when that annulus is
+    empty.  Every other centre of a computed row is certified by the test
+    that the chord stands for: np.abs(lam - c_1) > R_1 with the grid at
+    (escaped, 1), or np.abs(lam) <= tau_0 with the grid at (bounded, depth).
+    The grid equals the untrapped kernel's.
     """
     height, width = grid.escaped.shape
     lam = grid.center_at(*np.indices((height, width)))
@@ -1293,14 +1306,9 @@ def assert_kernel_gets_the_annulus(sysm, grid, calls, threads):
     ring = np.zeros((height, width), dtype=bool)
     ring[rows] = (((lo[:, None] <= cols) & (cols < tlo[:, None]))
                   | ((thi[:, None] <= cols) & (cols < hi[:, None])))
-    got = np.concatenate(calls) if calls else np.empty(0, dtype=complex)
+    assert len(calls) == ring.any()
+    got = calls[0] if calls else np.empty(0, dtype=complex)
     assert np.array_equal(np.sort_complex(got), np.sort_complex(lam[ring]))
-    per_row = ring.sum(axis=1)
-    bands = max(1, min(threads, int((per_row > 0).sum()))) if ring.any() else 0
-    assert len(calls) == bands and all(call.size for call in calls)
-    assert sum(len(set(call.imag.tolist())) for call in calls) == (per_row > 0).sum()
-    if calls:
-        assert max(call.size for call in calls) <= ring.sum() / bands + per_row.max()
 
     decided = np.zeros((height, width), dtype=bool)
     decided[rows] = ~ring[rows]
@@ -1411,13 +1419,12 @@ class TestRowChords:
         sysm = SYS_DISK if name == "unit" else PRESET_SYSTEMS[name]
         calls = kernel_inputs(monkeypatch)
         mixed = named = 0
-        for j, window in enumerate(chord_windows(sysm, depth)):
-            threads = (0, 1, 2, 3, 7)[j % 5]
+        for window in chord_windows(sysm, depth):
             calls.clear()
-            grid = render(sysm, window, (24, 16), depth, threads=threads)
+            grid = render(sysm, window, (24, 16), depth)
             lam = grid.center_at(*np.indices((16, 24)))
             if len(set(lam[0].real.tolist())) == 24 and len(set(lam[:, 0].imag.tolist())) == 16:
-                assert_kernel_gets_the_annulus(sysm, grid, calls, threads)
+                assert_kernel_gets_the_annulus(sysm, grid, calls)
                 named += 1
             else:  # centres less than an ulp apart: kernel inputs do not name their rows
                 assert_grid_matches_oracle(sysm, grid)
@@ -1429,22 +1436,6 @@ class TestRowChords:
                                         (1e307, 1.7e308, -1.0, 1.0), (2.0, 3.0, 2.0, 3.0)])
     def test_far_windows_need_no_kernel(self, monkeypatch, window):
         calls = kernel_inputs(monkeypatch)
-        for threads in (0, 2, 7):
-            grid = render(PRESET_SYSTEMS["fig3a"], window, (16, 8), 50, threads=threads)
-            assert grid.escaped.all() and (grid.stage == 1).all() and calls == []
-            assert_grid_matches_oracle(PRESET_SYSTEMS["fig3a"], grid)
-
-    def test_bands_fill_one_grid_under_fast_thread_switching(self):
-        # Seven bands write disjoint centres of one grid; switching threads
-        # every microsecond must lose none of their results.
-        sysm = PRESET_SYSTEMS["fig6a"]
-        want = render(sysm, DEFAULT_WINDOW, (160, 96), 60, threads=1)
-        interval = sys.getswitchinterval()
-        try:
-            sys.setswitchinterval(1e-6)
-            for _ in range(5):
-                grid = render(sysm, DEFAULT_WINDOW, (160, 96), 60, threads=7)
-                assert np.array_equal(grid.escaped, want.escaped)
-                assert np.array_equal(grid.stage, want.stage)
-        finally:
-            sys.setswitchinterval(interval)
+        grid = render(PRESET_SYSTEMS["fig3a"], window, (16, 8), 50)
+        assert grid.escaped.all() and (grid.stage == 1).all() and calls == []
+        assert_grid_matches_oracle(PRESET_SYSTEMS["fig3a"], grid)
