@@ -9,15 +9,14 @@ no pixel is certified inside.  The escape kernel may decide "bounded" before
 the last stage, once a parameter's composed value lies inside a trapping
 radius (see ``_trap_radii``) that proves it stays in the unit disk through
 the probed depth; the result still only means "bounded up to that depth".
-It may also decide "escaped at stage 1" before computing the first stage's
-power: the bounded set lies in the disk |lam - (1-p_1)| <= p_1, and a
-parameter whose distance from its centre exceeds the radius of
-``_escape_radius``, a few dozen ulps outside the circle that f_1 maps onto
-the bailout circle, provably escapes there.  ``render`` applies both
-certificates to whole rows of pixel centres before the kernel: one chord per
-row of the escape disk and one of the trapping disk |lam| <= tau_0
-(``_row_chords``) decide most centres, and only the annulus between them
-runs through the kernel.
+``render`` decides most pixel centres before the kernel, a row at a time
+(``_row_chords``): one chord per row of the trapping disk |lam| <= tau_0
+leaves its centres bounded, and outside one chord of the stage-1 escape
+disk a centre is flagged escaped at stage 1.  That disk is centred on c_1 =
+1 - p_1, and its radius ``_escape_radius`` lies a few dozen ulps outside the
+circle that f_1 maps onto the unit circle, so every centre outside it
+provably escapes at stage 1.  Only the annulus between the chords runs
+through the kernel, which powers every parameter it gets.
 """
 
 from __future__ import annotations
@@ -367,7 +366,7 @@ _TAU_FLOOR = 2.0 ** -900  # smaller radii are not kept
 _NO_TRAP = -1.0  # radius of a stage that traps nothing; below every modulus
 
 
-def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
+def _trap_radii(sys: FiberedSystem, depth: int) -> list[float]:
     """Radii tau_0..tau_depth: if ``np.abs`` of the composed value after stage
     r (the parameter itself for r = 0) is <= tau_r, then ``_render_band``
     computes no modulus above 1 at any stage up to ``depth``.
@@ -416,14 +415,10 @@ def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
       as tau_{r-1} >= 2**-900, the 2 eta.
 
     A radius below 2**-900 (in particular one <= 0) and every radius before it
-    is the sentinel -1, so no modulus, not even 0, is trapped there.  With
-    ``bailout < 1`` nothing is trapped; with any ``bailout >= 1`` the radii
-    hold unchanged, since a modulus <= 1 never escapes.  Those radii are
-    computed once per system and depth and kept in ``sys._radii``: the list
-    returned is shared, and its readers never write it.
+    is the sentinel -1, so no modulus, not even 0, is trapped there.  The
+    radii are computed once per system and depth and kept in ``sys._radii``:
+    the list returned is shared, and its readers never write it.
     """
-    if not bailout >= 1.0:
-        return [_NO_TRAP] * (depth + 1)
     tau = sys._radii.get(depth)
     if tau is not None:
         return tau
@@ -443,18 +438,18 @@ def _trap_radii(sys: FiberedSystem, depth: int, bailout: float) -> list[float]:
     return tau
 
 
-def _escape_radius(sys: FiberedSystem, bailout: float) -> float:
+def _escape_radius(sys: FiberedSystem) -> float:
     """Radius R_1 about c_1 = the double 1 - p_1: if ``np.abs(fl(lam - c_1))``
     is > R_1, then stage 1 of ``_render_band`` computes a modulus that is not
-    <= ``bailout``, so lam escapes at stage 1.
+    <= 1, so lam escapes at stage 1.  ``render``'s outer chord
+    (``_row_chords``) is its one reader.
 
-    Exactly, f_1 maps the circle |lam - c_1| = p_1 b ** (1/d_1) onto the
-    circle of radius b = ``bailout``, so lam escapes at stage 1 just outside
-    it.  The radius below bounds the moduli that ``np.abs`` returns from
-    below, for the stage-1 value as ``stage_map`` computes it from
-    h = fl(lam - c_1) (u = 2**-53, eta = 2**-990; d, p, c the stage-1 entries
-    d_1, p_1 and the double c_1).  ``tests/test_julia.py`` checks each bound
-    in exact arithmetic:
+    Exactly, f_1 maps the circle |lam - c_1| = p_1 onto the unit circle, so
+    lam escapes at stage 1 just outside it.  The radius below bounds the
+    moduli that ``np.abs`` returns from below, for the stage-1 value as
+    ``stage_map`` computes it from h = fl(lam - c_1) (u = 2**-53,
+    eta = 2**-990; d, p, c the stage-1 entries d_1, p_1 and the double c_1).
+    ``tests/test_julia.py`` checks each bound in exact arithmetic:
 
     - ``np.abs``: np.abs(x) >= (1 - 4u) |x| - eta, and
       np.abs(h) <= (1 + 4u) |h| + eta, as in ``_trap_radii``.
@@ -468,38 +463,21 @@ def _escape_radius(sys: FiberedSystem, bailout: float) -> float:
       >= 1 / (1 - 3u) when |w| >= 1 / (1 - 3u).
     - Overflow: once a part is inf or NaN, every later part is, since each
       part of a complex product reads both parts of both factors, and
-      ``np.abs`` of the power is inf or NaN.  Both escape a finite bailout.
-      So does the whole stage when fl(1 / p) overflows: h fl(1 / p) then
-      has an infinite or a NaN part.
+      ``np.abs`` of the power is inf or NaN.  Both escape.  So does the
+      whole stage when fl(1 / p) overflows: h fl(1 / p) then has an
+      infinite or a NaN part.
 
-    Chaining them, |w| >= W = (b (1 + u))**(1/d) / ((1 - 4u) (1 - 3u)) gives a
-    power of modulus >= (1 - 3u)**(d-1) W**d >= b (1 + u) / (1 - 4u), whose
-    ``np.abs`` is >= b (1 + u) - eta > b (b + eta <= b (1 + u) as b >= 1).
-    And np.abs(h) >= eta + (1 + 4u) p (W + eta) / (1 - u)**2 gives
-    |w| >= W.  As p <= 1, the right side is <= p b**(1/d) (1 + 15u) + 3 eta,
-    so any R_1 at least that certifies.  It is evaluated in doubles, each
-    step rounded the safe way (L = log b):
-
-    - z = fl(b ** fl(1/d)) (1 + (L + 5) u) >= b ** (1/d): libm ``pow`` is
-      within one ulp, and rounding 1/d moves the root by a relative
-      L u / d at most;
-    - y = fl(p z), so p z <= y (1 + 2u) + 2**-1074 (a subnormal product
-      rounds by an absolute 2**-1075), and
-      p b**(1/d) (1 + 15u) + 3 eta <= y (1 + (L + 24) u) + 4 eta;
-    - R_1 = fl(fl(y fl(1 + (32 + ceil(L)) u)) + 8 eta): rounding the factor,
-      the product and the sum keeps R_1 >= y (1 + (L + 27) u) + 7 eta.  The
-      8 eta covers a subnormal p_1, whose y is tiny.
-
-    R_1 is +inf, so nothing is certified, unless 1 <= ``bailout`` < inf: the
-    rule of ``_trap_radii``.  An infinite bailout does not let an infinite
-    modulus escape.
+    Chaining them, |w| >= W = (1 + u)**(1/d) / ((1 - 4u) (1 - 3u)) gives a
+    power of modulus >= (1 - 3u)**(d-1) W**d >= (1 + u) / (1 - 4u), whose
+    ``np.abs`` is >= 1 + u - eta > 1.  And
+    np.abs(h) >= eta + (1 + 4u) p (W + eta) / (1 - u)**2 gives |w| >= W.  As
+    p <= 1, the right side is <= p (1 + 15u) + 3 eta, so any R_1 at least
+    that certifies.  1 + 32u is a double, and R_1 = fl(fl(p (1 + 32u)) + 8 eta)
+    is >= p (1 + 29u) + 7 eta: the product rounds by a relative u, plus
+    2**-1075 when it is subnormal, and the sum by a relative u.  The 8 eta
+    covers a subnormal p_1.
     """
-    if not 1.0 <= bailout < math.inf:
-        return math.inf
-    d, p, _ = sys.stages(1)
-    z = bailout ** (1 / d[1])  # int division: no overflow for huge degrees
-    y = p[1] * z
-    return y * (1.0 + (32 + math.ceil(math.log(bailout))) * _U) + 8 * _ETA
+    return sys.stages(1)[1][1] * (1.0 + 32 * _U) + 8 * _ETA
 
 
 # Parameters per slice of the stage loop: each per-stage temporary (a complex
@@ -516,77 +494,52 @@ def _render_band(sys: FiberedSystem, lam_flat: np.ndarray, depth: int,
 
     A parameter whose modulus after stage r >= 1 is <= tau_r provably never
     escapes through ``depth``, so it leaves the loop with the default
-    result, not escaped at stage ``depth``.  The
-    radii follow tau_depth = 1, tau_{r-1} = p_r tau_r ** (1/d_r) - (1 - p_r),
-    shrunk by margins that cover every rounding of ``stage_map``, of
-    ``np.abs`` and of the recursion itself; ``_trap_radii`` gives the proof.
-    Stage 1 first tests ``np.abs(lam - c_1)`` against the radius R_1 of
-    ``_escape_radius``: a parameter outside it provably escapes at stage 1
-    and is flagged without its power being computed.  So flags and stages
-    are those of iterating every parameter through every stage.
-    ``lam_flat`` is read, never written.
+    result, not escaped at stage ``depth``.  The radii follow tau_depth = 1,
+    tau_{r-1} = p_r tau_r ** (1/d_r) - (1 - p_r), shrunk by margins that
+    cover every rounding of ``stage_map``, of ``np.abs`` and of the
+    recursion itself; ``_trap_radii`` gives the proof.  They trap only when
+    ``bailout >= 1``, since a modulus <= 1 then never escapes; a smaller or
+    NaN bailout traps nothing.  So flags and stages are those of iterating
+    every parameter through every stage.  tau_0 needs no test of its own:
+    by ``_trap_radii``'s proof ``np.abs(lam) <= tau_0`` implies
+    ``np.abs(f_1(lam)) <= tau_1``, which the stage-1 trap catches, and at
+    depth 1 stage 1 is the last stage.
+
+    Every stage maps its live parameters through ``stage_map`` in slices of
+    ``_BLOCK``.  Stage 1 reads ``lam_flat`` in place, converting one slice
+    at a time to complex (``np.asarray``: a complex slice is not copied);
+    ``lam_flat`` is read, never written.  ``index`` holds the position in
+    ``lam_flat`` of each live value and starts as 0..n-1.  Each stage stores
+    its survivors' values at the front of ``v`` and their positions at the
+    front of ``index``, in order, and the next stage maps that live prefix.
+    Stages without a positive radius skip the trap compare.
+
+    No bit depends on the slicing.  Each parameter sees the same elementwise
+    operations on the same values as when every stage maps the whole live
+    set at once: ``z - c``, the product with 1 / p, the complex products of
+    ``_pow_int`` and ``np.abs``.  numpy's complex multiply and ``np.abs``
+    give each element the same bits whatever its position in the array: on
+    numpy 2.4.6, slices of 1 to 100 elements at 430 offsets matched the
+    whole array's results.
     """
-    return _band_kernel(sys, lam_flat, depth, bailout, _trap_radii(sys, depth, bailout),
-                        _escape_radius(sys, bailout))
-
-
-def _band_kernel(sys: FiberedSystem, lam_flat: np.ndarray, depth: int, bailout: float,
-                 tau: list[float], radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_render_band`` with the radii ``tau`` and R_1 = ``radius`` already computed.
-
-    Each stage runs over its parameters in slices of ``_BLOCK``.  Stage 1
-    reads ``lam_flat`` in place, converting one slice at a time to complex
-    (``np.asarray``: a complex slice is not copied), and takes
-    h = fl(lam - c_1) and ``np.abs(h)``.  Where that is > R_1 the parameter
-    escapes at stage 1 (``_escape_radius`` gives the proof): the slice's
-    flags are written whole, and its stages where the flag is set.  The rest
-    (the parameters inside the circle that f_1 maps onto the bailout circle,
-    and a band a few dozen ulps wide outside it) is gathered, and
-    ``h * (1 / p_1)`` is powered and tested as at any stage; the position
-    of a parameter is ``start`` plus its offset in the slice.
-    Only stage 1's survivors are stored: their values at the front of ``v``
-    and their positions at the front of ``index``.  Each later stage maps
-    that live prefix and moves every survivor of a slice to the front of
-    both arrays, in order.  Stages without a positive radius skip the trap
-    compare.  tau_0 needs no test of its own: by ``_trap_radii``'s proof
-    ``np.abs(lam) <= tau_0`` implies ``np.abs(f_1(lam)) <= tau_1``, which
-    the stage-1 trap catches, and at depth 1 stage 1 is the last stage.
-
-    No bit depends on the slicing or on R_1.  Each uncertified parameter
-    sees the same elementwise operations on the same values as when every
-    stage maps the whole live set at once: ``z - c``, the product with
-    1 / p, the complex products of ``_pow_int`` and ``np.abs``.  numpy's
-    complex multiply and ``np.abs`` give each element the same bits
-    whatever its position in the array: on numpy 2.4.6, slices of 1 to 100
-    elements at 430 offsets matched the whole array's results.  The test
-    against R_1 only needs ``np.abs`` within the error bound of its proof.
-    """
+    tau = _trap_radii(sys, depth)
     n = lam_flat.size
     escaped = np.zeros(n, dtype=bool)
     stage = np.full(n, depth, dtype=np.int32)
     v = np.empty(n, dtype=complex)  # orbit values; the first ``live`` are in play
-    index = np.empty(n, dtype=np.intp)  # position in lam_flat of each value in v
-    d, p, c = sys.stages(1)
+    index = np.arange(n)  # position in lam_flat of each value in v
     live = n
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(1, depth + 1):
             if live == 0:
                 break
-            trap = tau[r] if r < depth else _NO_TRAP
+            trap = tau[r] if r < depth and bailout >= 1.0 else _NO_TRAP
+            src = lam_flat if r == 1 else v
             kept = 0
             for start in range(0, live, _BLOCK):
                 stop = min(start + _BLOCK, live)
-                if r == 1:
-                    h = np.asarray(lam_flat[start:stop], dtype=complex) - c[1]
-                    out = np.abs(h) > radius
-                    escaped[start:stop] = out
-                    stage[start:stop][out] = 1
-                    rest = np.flatnonzero(~out)
-                    pos = start + rest
-                    w = _pow_int(h[rest] * (1.0 / p[1]), d[1])
-                else:
-                    pos = index[start:stop]
-                    w = stage_map(sys, r, v[start:stop])
+                pos = index[start:stop]
+                w = stage_map(sys, r, np.asarray(src[start:stop], dtype=complex))
                 mod = np.abs(w)
                 gone = ~(mod <= bailout)  # a NaN modulus escapes too
                 if gone.any():
@@ -606,16 +559,18 @@ def _band_kernel(sys: FiberedSystem, lam_flat: np.ndarray, depth: int, bailout: 
 
 def _row_chords(re: np.ndarray, im: np.ndarray, c1: float, radius: float,
                 tau0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per row i of pixel centres re_j + i im_i, the columns that
-    ``_band_kernel`` provably decides at stage 1: (lo, hi, tlo, thi), with
+    """Per row i of pixel centres re_j + i im_i, the columns whose kernel
+    result is known without running it: (lo, hi, tlo, thi), with
     lo <= tlo <= thi <= hi.
 
     - Outside [lo_i, hi_i): np.abs(lam - c_1) > R_1 = ``radius``, so the
-      kernel flags lam escaped at stage 1 (``_escape_radius``).
+      kernel's stage-1 modulus is not <= 1 and lam escapes at stage 1
+      (``_escape_radius``).
     - In [tlo_i, thi_i): np.abs(lam) <= tau_0 = ``tau0``, so the kernel
       leaves lam unescaped at its depth: by ``_trap_radii``'s proof the
-      stage-1 modulus is <= tau_1 <= 1, so the R_1 test does not flag it
-      either.  The chord is empty when ``tau0`` is not positive.
+      stage-1 modulus is <= tau_1 <= 1, which the stage-1 trap catches, or
+      which stage 1 leaves unescaped when it is the last.  The chord is
+      empty when ``tau0`` is not positive.
 
     Only the annulus [lo, tlo) and [thi, hi) needs the kernel.  ``re`` holds
     one row's real parts as ``center_at`` computes them, re_min + (j + 0.5)
@@ -693,11 +648,11 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
 
     Most centres of a row are decided without the escape kernel, by two
     chords of the row (``_row_chords`` gives the proof).  Centres farther
-    from c_1 than the stage-1 escape radius R_1 are flagged escaped at
-    stage 1, and centres inside the trapping radius tau_0 bounded at
-    ``depth``: the kernel would give each of them exactly that.  Only the
-    annulus between the chords, one or two runs of columns per row, goes
-    through the kernel.
+    from c_1 than the stage-1 escape radius R_1 (``_escape_radius``, which
+    only this outer chord reads) are flagged escaped at stage 1, and centres
+    inside the trapping radius tau_0 bounded at ``depth``: the kernel would
+    give each of them exactly that.  Only the annulus between the chords,
+    one or two runs of columns per row, goes through the kernel.
 
     A row whose centers are the exact conjugates of an earlier row's is not
     run through the kernel: it copies that row's flags and stages.  The copy
@@ -707,7 +662,6 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     negation:
 
     - ``z - c`` with c real;
-    - ``np.abs(lam - c_1)``, tested against the escape radius R_1;
     - ``h * (1 / p)``;
     - the complex products of ``_pow_int``, with or without a fused
       multiply-add;
@@ -717,12 +671,14 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
     modulus sees, and a NaN shows up in both or in neither.  A centre that a
     chord decides gets the kernel's result, so the copy stays exact.  Rows
     are paired by value, not by bits; a row on the real axis (+0 or -0) is
-    its own mirror and is computed.
+    its own mirror and is computed.  The imaginary parts of the rows are
+    nonincreasing, as ``center_at`` rounds monotonically, so one
+    ``np.searchsorted`` on their negatives finds each row's first mirror.
 
     The annulus centres of all computed rows go through the escape kernel
-    in one call, on the calling thread, and its results are scattered back
-    by flat index.  ``threads`` is accepted and ignored: ``perfbench`` still
-    passes it.
+    ``_render_band`` in one call, on the calling thread, and its results
+    are scattered back by flat index.  ``threads`` is accepted and ignored:
+    ``perfbench`` still passes it.
     """
     re_min, re_max, im_min, im_max = (float(x) for x in window)
     width, height = (int(x) for x in resolution)
@@ -742,25 +698,17 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
                           np.ones((height, width), dtype=np.int32))
     escaped, stage = grid.escaped.reshape(-1), grid.stage.reshape(-1)  # views
 
-    tau = _trap_radii(sys, depth, 1.0)
-    radius = _escape_radius(sys, 1.0)
     re = grid.center_at(0, np.arange(width)).real
     im = grid.center_at(np.arange(height), 0).imag
 
-    # Row j copies the first computed row i whose imaginary part is -im[j].
-    computed, mirrors, sources = [], [], []
-    first = {}
-    for j, y in enumerate(im.tolist()):
-        i = first.get(-y) if y else None
-        if i is None:
-            first.setdefault(y, j)
-            computed.append(j)
-        else:
-            mirrors.append(j)
-            sources.append(i)
-
-    rows = np.array(computed)
-    lo, hi, tlo, thi = _row_chords(re, im[rows], sys.stages(1)[2][1], radius, tau[0])
+    # A row j with im[j] < 0 copies the first row i with im[i] = -im[j] > 0,
+    # which is computed; every other row is computed.
+    first = np.minimum(np.searchsorted(-im, im, "left"), height - 1)
+    copied = (im < 0.0) & (im[first] == -im)
+    mirrors = np.flatnonzero(copied)
+    rows = np.flatnonzero(~copied)
+    lo, hi, tlo, thi = _row_chords(re, im[rows], sys.stages(1)[2][1], _escape_radius(sys),
+                                   _trap_radii(sys, depth)[0])
     start = rows * width
     inside = _spans(start + tlo, start + thi)
     escaped[inside] = False
@@ -775,7 +723,8 @@ def render(sys: FiberedSystem, window, resolution, depth: int = DEFAULT_DEPTH,
         lam = np.empty(annulus.size, dtype=complex)
         lam.real = re[col]
         lam.imag = im[row]
-        escaped[annulus], stage[annulus] = _band_kernel(sys, lam, depth, 1.0, tau, radius)
+        escaped[annulus], stage[annulus] = _render_band(sys, lam, depth)
+    sources = first[mirrors]
     grid.escaped[mirrors] = grid.escaped[sources]
     grid.stage[mirrors] = grid.stage[sources]
     return grid

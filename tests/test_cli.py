@@ -28,7 +28,7 @@ from stochadd.cli import (
 )
 from stochadd.numeration import largest_level, parse_base_spec, parse_probs_spec
 
-from test_julia import factorization_check
+from test_julia import factorization_check, kernel_inputs
 
 
 # 41 stages of probability 1e-8: stage maps that scale by 1e8.
@@ -169,11 +169,9 @@ class TestRender:
                               timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
-        def band_kernel(*args):
-            raise AssertionError("the escape kernel ran")
-
-        monkeypatch.setattr(julia, "_band_kernel", band_kernel)
+        calls = kernel_inputs(monkeypatch)
         assert run(capsys, *argv, str(tmp_path / "in")) == (0, stdout, "")
+        assert calls == []  # the escape kernel never ran
         for ext in ("pgm", "pbm", "meta"):
             assert (tmp_path / f"sub.{ext}").read_bytes() == (tmp_path / f"in.{ext}").read_bytes()
 

@@ -761,6 +761,19 @@ def untrapped_band(sysm, lam_flat, depth, bailout=1.0):
     return escaped, stage
 
 
+def stage_map_calls(monkeypatch):
+    """Record (r, z) for every ``julia.stage_map`` call, z as passed."""
+    calls = []
+    real = julia.stage_map
+
+    def recording(sysm, r, z):
+        calls.append((r, z))
+        return real(sysm, r, z)
+
+    monkeypatch.setattr(julia, "stage_map", recording)
+    return calls
+
+
 def assert_matches_oracle(sysm, lam, depth, bailout=1.0):
     got_esc, got_stage = _render_band(sysm, lam, depth, bailout)
     want_esc, want_stage = untrapped_band(sysm, lam, depth, bailout)
@@ -786,7 +799,7 @@ def near_radius(sysm, depth, rng, count, k, ulps=40):
     ``ulps`` ulp of that modulus, pulled back through stages k..1 on random
     branches.  For k = 1 the stage-1 value stays within a few ulp of the
     target; deeper pull-backs spread wider but still straddle tau_k."""
-    tau_k = _trap_radii(sysm, depth, 1.0)[k]
+    tau_k = _trap_radii(sysm, depth)[k]
     if tau_k <= 0.0:
         return np.empty(0, dtype=complex)
     w = near_modulus(rng, tau_k, count, ulps)
@@ -799,11 +812,11 @@ def near_radius(sysm, depth, rng, count, k, ulps=40):
 
 def first_radius(sysm, depth):
     """First stage >= 1 with a positive radius."""
-    return min(r for r, t in enumerate(_trap_radii(sysm, depth, 1.0)) if r >= 1 and t > 0.0)
+    return min(r for r, t in enumerate(_trap_radii(sysm, depth)) if r >= 1 and t > 0.0)
 
 
 def probe_parameters(sysm, depth, rng):
-    tau0 = _trap_radii(sysm, depth, 1.0)[0]
+    tau0 = _trap_radii(sysm, depth)[0]
     parts = [rng.uniform(-1.6, 1.6, (120, 2)).view(complex)[:, 0],
              unit_circle(rng, 60),
              near_radius(sysm, depth, rng, 60, min(first_radius(sysm, depth), 5)),
@@ -816,30 +829,49 @@ def probe_parameters(sysm, depth, rng):
 class TestTrapRadii:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_radii_are_sentinel_or_usable(self, name):
-        tau = _trap_radii(PRESET_SYSTEMS[name], 200, 1.0)
+        tau = _trap_radii(PRESET_SYSTEMS[name], 200)
         assert len(tau) == 201 and tau[200] == 1.0
         assert all(t == -1.0 or 2.0 ** -900 <= t <= 1.0 for t in tau)
         # once a stage traps nothing, no earlier stage does
         first = min(r for r, t in enumerate(tau) if t > 0.0)
         assert all(t > 0.0 for t in tau[first:])
 
-    def test_bailout_below_one_traps_nothing(self):
-        assert _trap_radii(SYS_DISK, 50, 0.999) == [-1.0] * 51
-        assert _trap_radii(SYS_DISK, 50, float("nan")) == [-1.0] * 51
+    # On the unit disk, |lam| = 0.5 stays far inside every radius: a bailout
+    # from 1 traps it after stage 1, a smaller one maps it through every
+    # stage, and a NaN bailout lets every parameter escape at stage 1.
+    LAM_HALF = 0.5 * unit_circle(np.random.default_rng(19), 100)
 
-    def test_any_bailout_from_one_gives_the_same_radii(self):
-        for sysm in (SYS_DISK, SYS_37, PRESET_SYSTEMS["fig8a"]):
-            assert _trap_radii(sysm, 120, 1.0) == _trap_radii(sysm, 120, 1e6)
+    def stages_mapped(self, calls, bailout):
+        calls.clear()
+        esc, stage = _render_band(SYS_DISK, self.LAM_HALF, 50, bailout)
+        return [(r, z.size) for r, z in calls], esc, stage
+
+    def test_bailout_below_one_traps_nothing(self, monkeypatch):
+        calls = stage_map_calls(monkeypatch)
+        n = self.LAM_HALF.size
+        for bailout in (0.999, 0.5):
+            mapped, esc, stage = self.stages_mapped(calls, bailout)
+            assert mapped == [(r, n) for r in range(1, 51)]
+            assert not esc.any() and (stage == 50).all()
+        mapped, esc, stage = self.stages_mapped(calls, float("nan"))
+        assert mapped == [(1, n)] and esc.all() and (stage == 1).all()
+
+    def test_any_bailout_from_one_gives_the_same_radii(self, monkeypatch):
+        calls = stage_map_calls(monkeypatch)
+        for bailout in (1.0, 7.0, 1e6, float("inf")):
+            mapped, esc, stage = self.stages_mapped(calls, bailout)
+            assert mapped == [(1, self.LAM_HALF.size)]
+            assert not esc.any() and (stage == 50).all()
 
     def test_computed_once_per_system_and_depth(self, monkeypatch):
         radii = []
 
-        def band_kernel(sysm, lam_flat, depth, bailout, tau, radius):
-            radii.append(tau)
-            return real(sysm, lam_flat, depth, bailout, tau, radius)
+        def trap_radii(sysm, depth):
+            radii.append(real(sysm, depth))
+            return radii[-1]
 
-        real = julia._band_kernel
-        monkeypatch.setattr(julia, "_band_kernel", band_kernel)
+        real = julia._trap_radii
+        monkeypatch.setattr(julia, "_trap_radii", trap_radii)
         sysm = FiberedSystem(parse_base_spec("fib"), parse_probs_spec("pconst:0.55"))
         fresh = FiberedSystem(sysm.base, sysm.probs)
         lam = np.random.default_rng(0).uniform(-1, 1, (50, 2)).view(complex)[:, 0]
@@ -847,17 +879,17 @@ class TestTrapRadii:
             render(sysm, DEFAULT_WINDOW, (24, 24), 200)
             _render_band(sysm, lam, 200)
             _render_band(sysm, lam, 200, bailout=1e6)
+            _render_band(sysm, lam, 12, bailout=0.5)
             _render_band(sysm, lam, 12)
-        # Every call of one depth reads the one list the first call computed.
+        # render reads tau_0 for its chords and the kernel reads the radii;
+        # every call of one depth reads the one list the first call computed.
         assert sorted(sysm._radii) == [12, 200]
-        assert all(tau is sysm._radii[len(tau) - 1] for tau in radii) and len(radii) == 8
-        assert _trap_radii(sysm, 200, 7.0) is sysm._radii[200]
-        assert sysm._radii[200] == _trap_radii(fresh, 200, 1.0)
-        assert _trap_radii(sysm, 12, 0.5) == [-1.0] * 13 and sorted(sysm._radii) == [12, 200]
+        assert all(tau is sysm._radii[len(tau) - 1] for tau in radii) and len(radii) == 12
+        assert sysm._radii[200] == real(fresh, 200)
         assert sysm == fresh and hash(sysm) == hash(fresh)
 
     def test_disk_radii_stay_just_below_one(self):
-        tau = _trap_radii(SYS_DISK, 200, 1.0)
+        tau = _trap_radii(SYS_DISK, 200)
         assert all(1.0 - 1e-13 < t < 1.0 - 8 * U for t in tau[:200])
 
 
@@ -999,7 +1031,7 @@ class TestTrappedKernel:
         v = lam
         for r in range(1, k + 1):
             v = stage_map(sysm, r, v)
-        tau_k = _trap_radii(sysm, 200, 1.0)[k]
+        tau_k = _trap_radii(sysm, 200)[k]
         assert (np.abs(v) <= tau_k).any() and (np.abs(v) > tau_k).any()
         assert_matches_oracle(sysm, lam, 200, bailout)
 
@@ -1030,46 +1062,41 @@ def near_escape_circle(sysm, bailout, rng, count, ulps=40):
 # 1 / p_1 overflows, so stage 1 maps every parameter to an infinite or NaN value
 SYS_TINY_P = FiberedSystem(BaseSeq("const", (3,)), parse_probs_spec("plist:1e-310;tail=0.5"))
 TAU0_CASES = [(name, depth) for name in (*sorted(PRESETS), "unit") for depth in (1, 2, 12, 200)
-              if _trap_radii(PRESET_SYSTEMS.get(name, SYS_DISK), depth, 1.0)[0] > 0.0]
+              if _trap_radii(PRESET_SYSTEMS.get(name, SYS_DISK), depth)[0] > 0.0]
 
 
 class TestEscapeRadius:
-    """Stage 1 flags a parameter with np.abs(lam - c_1) > R_1 as escaped
-    without computing its power (``julia._escape_radius``)."""
+    """A parameter with np.abs(lam - c_1) > R_1 escapes at stage 1
+    (``julia._escape_radius``); ``render``'s outer chord rests on this, while
+    the kernel powers every parameter it gets."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     @pytest.mark.parametrize("bailout", [1.0, 1e6])
     def test_circle_neighbourhood(self, name, bailout):
-        # R_1 lies 16 to 45 ulps outside the circle; the circle's
-        # neighbourhood fails a radius without margin, and a wider ring
-        # samples both sides of R_1
+        # R_1 lies 16 to 32 ulps outside the circle that stage 1 maps onto
+        # the unit circle; that circle's neighbourhood fails a radius without
+        # margin, and a wider ring samples both sides of R_1.  The ring of
+        # bailout 1e6 lies wholly outside R_1.
         sysm = PRESET_SYSTEMS[name]
         rng = np.random.default_rng(15)
         lam = np.concatenate([near_escape_circle(sysm, bailout, rng, 5000),
                               near_escape_circle(sysm, bailout, rng, 1000, ulps=400)])
-        m = np.abs(lam - sysm.stages(1)[2][1])
-        radius = julia._escape_radius(sysm, bailout)
-        assert (m > radius).any() and (m <= radius).any()
+        out = np.abs(lam - sysm.stages(1)[2][1]) > julia._escape_radius(sysm)
+        assert out.any() and (~out).any() == (bailout == 1.0)
+        assert untrapped_band(sysm, lam[out], 1)[0].all()
         assert_matches_oracle(sysm, lam, 200, bailout)
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_radius_is_just_outside_the_circle(self, name):
-        d, p, _ = PRESET_SYSTEMS[name].stages(1)
-        for bailout in (1.0, 1e6, 1.7e308):
-            exact = p[1] * bailout ** (1.0 / d[1])
-            assert exact < julia._escape_radius(PRESET_SYSTEMS[name], bailout) < exact * (1 + 2.0 ** -42)
-
-    @pytest.mark.parametrize("bailout", [0.5, 0.999, float("inf"), float("nan")])
-    def test_nothing_certified_outside_finite_bailouts_from_one(self, bailout):
-        for sysm in (SYS_DISK, PRESET_SYSTEMS["fig8a"], SYS_TINY_P):
-            assert julia._escape_radius(sysm, bailout) == math.inf
+        p = PRESET_SYSTEMS[name].stages(1)[1][1]
+        assert p < julia._escape_radius(PRESET_SYSTEMS[name]) < p * (1 + 2.0 ** -42)
 
     @pytest.mark.parametrize("name, depth", TAU0_CASES)
     def test_tau0_trap_is_the_stage_one_trap(self, name, depth):
         # The kernel has no tau_0 compare: np.abs(lam) <= tau_0 must give
         # np.abs(f_1(lam)) <= tau_1 (tau_1 = 1 at depth 1, the last stage).
         sysm = PRESET_SYSTEMS.get(name, SYS_DISK)
-        tau = _trap_radii(sysm, depth, 1.0)
+        tau = _trap_radii(sysm, depth)
         lam = near_modulus(np.random.default_rng(16), tau[0], 20_000, ulps=4)
         inside = np.abs(lam) <= tau[0]
         assert inside.any() and not inside.all()
@@ -1134,11 +1161,10 @@ class TestBlockedKernel:
         assert_matches_oracle(sysm, lam, 200)
         assert_matches_oracle(sysm, lam, 60, bailout=1e6)
 
-    # Stage 1 reads the parameters in place and flags those outside the
-    # escape radius R_1 before any power; at depth 1 it is the last stage, at
-    # depth 2 the next to last.  tau_0 has no compare of its own (the stage-1
-    # trap catches it); it is positive for fig3a and the unit disk, and for
-    # fig8a at depth 1 only.
+    # Stage 1 reads the parameters in place and powers every one of them; at
+    # depth 1 it is the last stage, at depth 2 the next to last.  tau_0 has
+    # no compare of its own (the stage-1 trap catches it); it is positive
+    # for fig3a and the unit disk, and for fig8a at depth 1 only.
     @pytest.mark.parametrize("block", [1, 7, 64])
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("bailout", [0.5, 1.0, 1e6])
@@ -1146,9 +1172,26 @@ class TestBlockedKernel:
     def test_first_stages(self, monkeypatch, block, depth, bailout, name):
         monkeypatch.setattr(julia, "_BLOCK", block)
         sysm = SYS_DISK if name == "unit" else PRESET_SYSTEMS[name]
-        assert (_trap_radii(sysm, depth, 1.0)[0] > 0.0) == (name != "fig8a" or depth == 1)
+        assert (_trap_radii(sysm, depth)[0] > 0.0) == (name != "fig8a" or depth == 1)
         lam = probe_parameters(sysm, depth, np.random.default_rng(13))
         assert_matches_oracle(sysm, lam, depth, bailout)
+
+    @pytest.mark.parametrize("block", [7, julia._BLOCK])
+    def test_every_stage_runs_through_stage_map(self, monkeypatch, block):
+        # Stage 1 too: it maps the parameters in place, slice by slice, with
+        # no escape test before their powers.
+        monkeypatch.setattr(julia, "_BLOCK", block)
+        calls = stage_map_calls(monkeypatch)
+        sysm = PRESET_SYSTEMS["fig3a"]
+        lam = probe_parameters(sysm, 200, np.random.default_rng(18))
+        assert_matches_oracle(sysm, lam, 200)
+        first = [z for r, z in calls if r == 1]
+        sizes = [min(block, lam.size - k) for k in range(0, lam.size, block)]
+        assert [z.size for z in first] == sizes
+        assert all(np.shares_memory(z, lam) for z in first)
+        assert np.concatenate(first).tobytes() == lam.tobytes()
+        stages = [r for r, _ in calls]
+        assert stages == sorted(stages) and set(stages) == set(range(1, stages[-1] + 1))
 
     def test_input_is_left_unchanged(self):
         sysm = PRESET_SYSTEMS["fig3a"]
@@ -1271,15 +1314,16 @@ class TestMirrorRows:
 
 
 def kernel_inputs(monkeypatch):
-    """Record a copy of the parameters of every ``_band_kernel`` call."""
+    """Record a copy of the parameters of every ``_render_band`` call that
+    ``render`` makes."""
     calls = []
-    kernel = julia._band_kernel
+    kernel = julia._render_band
 
-    def recording(sysm, lam_flat, *args):
+    def recording(sysm, lam_flat, *args, **kwargs):
         calls.append(lam_flat.copy())
-        return kernel(sysm, lam_flat, *args)
+        return kernel(sysm, lam_flat, *args, **kwargs)
 
-    monkeypatch.setattr(julia, "_band_kernel", recording)
+    monkeypatch.setattr(julia, "_render_band", recording)
     return calls
 
 
@@ -1299,8 +1343,8 @@ def assert_kernel_gets_the_annulus(sysm, grid, calls):
     im = lam[:, 0].imag
     rows = [j for j in range(height) if not (im[j] and (im[:j] == -im[j]).any())]
     c1 = sysm.stages(1)[2][1]
-    radius = julia._escape_radius(sysm, 1.0)
-    tau0 = _trap_radii(sysm, grid.depth, 1.0)[0]
+    radius = julia._escape_radius(sysm)
+    tau0 = _trap_radii(sysm, grid.depth)[0]
     lo, hi, tlo, thi = julia._row_chords(lam[0].real, im[rows], c1, radius, tau0)
     cols = np.arange(width)
     ring = np.zeros((height, width), dtype=bool)
@@ -1338,8 +1382,8 @@ def chord_windows(sysm, depth):
     bottom, where the squares of the chords cancel, near the top, at the
     sides and in between.  Near the top a window is flattened to the slope
     of the circle, so that the chord ends cross its rows."""
-    circles = [(sysm.stages(1)[2][1], julia._escape_radius(sysm, 1.0))]
-    tau0 = _trap_radii(sysm, depth, 1.0)[0]
+    circles = [(sysm.stages(1)[2][1], julia._escape_radius(sysm))]
+    tau0 = _trap_radii(sysm, depth)[0]
     if tau0 > 0.0:
         circles.append((0.0, tau0))
     windows = []
@@ -1367,8 +1411,8 @@ class TestRowChords:
         grid = julia.MembershipGrid(window, *resolution, depth, None, None)
         lam = grid.center_at(*np.indices(resolution[::-1]))
         c1 = sysm.stages(1)[2][1]
-        radius = julia._escape_radius(sysm, 1.0)
-        tau0 = _trap_radii(sysm, depth, 1.0)[0]
+        radius = julia._escape_radius(sysm)
+        tau0 = _trap_radii(sysm, depth)[0]
         lo, hi, tlo, thi = julia._row_chords(lam[0].real, lam[:, 0].imag, c1, radius, tau0)
         assert ((0 <= lo) & (lo <= tlo) & (tlo <= thi) & (thi <= hi) & (hi <= resolution[0])).all()
         cols = np.arange(resolution[0])
@@ -1378,8 +1422,8 @@ class TestRowChords:
 
     @pytest.mark.parametrize("name, depth", CHORD_CASES)
     def test_chords_certify_their_centres(self, name, depth):
-        # What the kernel tests: np.abs(lam - c_1) > R_1 outside the outer
-        # chord, np.abs(lam) <= tau_0 inside the inner one.
+        # What each chord stands for: np.abs(lam - c_1) > R_1 outside the
+        # outer chord, np.abs(lam) <= tau_0 inside the inner one.
         sysm = SYS_DISK if name == "unit" else PRESET_SYSTEMS[name]
         counts = np.zeros(3, dtype=int)
         for window in chord_windows(sysm, depth):
